@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import DEFAULT_SEED
+from . import DEFAULT_SEED, gof
 from .report import RunConfig, run_and_report
 
 
@@ -90,9 +90,26 @@ _OPTION_KEYS = {
 }
 
 
+def _check_options(parser: argparse.ArgumentParser, subcommand: str,
+                   options: dict) -> None:
+    """Reject option values a study cannot run with, as usage errors (exit 2)."""
+    if subcommand == "pooling" and "p" in options:
+        if not 0.0 < options["p"] < 1.0:
+            parser.error(f"--p must lie strictly in (0, 1), got {options['p']}")
+    if subcommand == "gof":
+        bins = options.get("bins", gof.GofPlan.bins)
+        if bins < 2:
+            parser.error(f"--bins must be at least 2, got {bins}")
+        for n in options.get("sizes", gof.GofPlan.sample_sizes):
+            if n < bins or n % bins:
+                parser.error(f"--sizes: sample size {n} is not a positive "
+                             f"multiple of --bins {bins}")
+
+
 def parse_config(argv: list[str]) -> RunConfig:
     """Parse argv into a RunConfig, applying flag > config file > default."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     file_values: dict = {}
     if args.config is not None:
         file_values = json.loads(Path(args.config).read_text())
@@ -112,6 +129,7 @@ def parse_config(argv: list[str]) -> RunConfig:
         value = pick(key, None)
         if value is not None:
             options[key] = value
+    _check_options(parser, args.subcommand, options)
     return RunConfig(
         subcommand=args.subcommand,
         root_seed=int(pick("seed", DEFAULT_SEED)),

@@ -212,20 +212,25 @@ def solve_root(
     return 0.5 * (lo + hi)
 
 
-def quantile_type7(sample: Sequence[float], p: float) -> float:
-    """Order-statistic quantile with linear interpolation at h = (n-1)p + 1."""
-    x = np.sort(np.asarray(sample, dtype=float))
-    n = x.size
+def quantile_type7(sample: Sequence[float], p: float) -> float | np.ndarray:
+    """Order-statistic quantile with linear interpolation at h = (n-1)p + 1.
+
+    Observations run along the last axis: a ``(reps, n)`` array gives one
+    quantile per row, each equal to the 1-D call on that row bit for bit.
+    """
+    x = np.sort(np.asarray(sample, dtype=float), axis=-1)
+    n = x.shape[-1]
     if n == 0:
         raise ValueError("sample must be non-empty")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    h = (n - 1) * p
-    i = min(int(math.floor(h)), n - 2) if n > 1 else 0
-    frac = h - i
     if n == 1:
-        return float(x[0])
-    return float(x[i] + frac * (x[i + 1] - x[i]))
+        q = x[..., 0]
+    else:
+        h = (n - 1) * p
+        i = min(int(math.floor(h)), n - 2)
+        q = x[..., i] + (h - i) * (x[..., i + 1] - x[..., i])
+    return float(q) if x.ndim == 1 else q
 
 
 def summarize(sample: Sequence[float]) -> SummaryStats:

@@ -151,8 +151,11 @@ def simulate_pooling(
     k, n, p = design.k, design.n, design.p
 
     def one_replicate(stream: simkit.RngStream, i: int) -> float:
-        statuses = stream.bernoullis(design.N, p)
-        positive_pools = int(np.any(statuses.reshape(n, k), axis=1).sum())
+        # person j is positive when their uniform is below p (as in
+        # bernoullis) and sits in pool j // k; the sorted pool indices of the
+        # positives change value once per further positive pool
+        pools = np.flatnonzero(stream.raw(design.N) < p) // k
+        positive_pools = 1 + np.count_nonzero(np.diff(pools)) if pools.size else 0
         return float(n + k * positive_pools)
 
     study = simkit.run_replicates(n_reps, experiment_id, root_seed, one_replicate,

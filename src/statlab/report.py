@@ -13,11 +13,11 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from . import __version__, estimators, figures, gof, mh, pooling
-from .numerics import quantile_type7
 
 
 @dataclass
@@ -43,30 +43,36 @@ class ExperimentReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def _num(x) -> str:
-    """Table cell format: 10 significant digits, '.' decimal."""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.10g}"
+# Rows formatted per write; bounds the cell strings held at once to about 1 MB.
+_CHUNK_ROWS = 4096
 
 
-def write_table(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_num(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _format_column(values: np.ndarray) -> list[str]:
+    """Cells of one homogeneous column: integers as they are, floats to 10
+    significant digits with a '.' decimal, strings unchanged."""
+    if values.dtype.kind in "iu":
+        return list(map(str, values.tolist()))
+    if values.dtype.kind == "f":
+        return list(map("{:.10g}".format, values.tolist()))
+    if values.dtype.kind == "U":
+        return values.tolist()
+    raise TypeError(f"cannot format a column of dtype {values.dtype}")
 
 
-def _dist_quartiles(vec: np.ndarray) -> dict:
-    return {
-        "lo": float(vec.min()),
-        "q1": quantile_type7(vec, 0.25),
-        "median": quantile_type7(vec, 0.5),
-        "q3": quantile_type7(vec, 0.75),
-        "hi": float(vec.max()),
-    }
+def write_table(path: Path, columns: dict[str, Sequence]) -> None:
+    """Write a CSV table given as header name -> column, in that order.
+
+    Rows are formatted and written ``_CHUNK_ROWS`` at a time, so the cell
+    strings of a long table are never all held at once.
+    """
+    arrays = [np.asarray(column) for column in columns.values()]
+    if len({len(a) for a in arrays}) > 1:
+        raise ValueError("table columns must have equal length")
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, len(arrays[0]), _CHUNK_ROWS):
+            cells = [_format_column(a[start:start + _CHUNK_ROWS]) for a in arrays]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def run_pooling(config: RunConfig, out: Path):
@@ -81,38 +87,36 @@ def run_pooling(config: RunConfig, out: Path):
     cont = pooling.optimal_pool_size_continuous(p)
     k_root = pooling.optimal_pool_size_root(p)
 
-    rows = []
-    for k in candidates:
-        n = N // k
-        design = pooling.PoolingDesign(N=N, k=k, n=n, p=p)
-        cost = pooling.simulate_pooling(
-            design, n_reps, config.root_seed, experiment_id=f"pooling-k{k}",
+    costs = [
+        pooling.simulate_pooling(
+            pooling.PoolingDesign(N=N, k=k, n=N // k, p=p), n_reps,
+            config.root_seed, experiment_id=f"pooling-k{k}",
             n_workers=config.n_workers,
         )
-        rows.append(
-            (k, n, cost.expected_tests_analytic, cost.simulated_mean,
-             cost.simulated_sd, cost.savings_ratio)
-        )
+        for k in candidates
+    ]
     tables, figs = [], []
     t1 = out / "pooling_candidates.csv"
-    write_table(
-        t1,
-        ["k", "n_pools", "expected_tests_analytic", "simulated_mean",
-         "simulated_sd", "savings_ratio"],
-        rows,
-    )
+    write_table(t1, {
+        "k": candidates,
+        "n_pools": [N // k for k in candidates],
+        "expected_tests_analytic": [c.expected_tests_analytic for c in costs],
+        "simulated_mean": [c.simulated_mean for c in costs],
+        "simulated_sd": [c.simulated_sd for c in costs],
+        "savings_ratio": [c.savings_ratio for c in costs],
+    })
     tables.append(t1.name)
 
-    ks, costs = pooling.cost_curve(N, p, float(k_lo), float(k_hi))
+    ks, curve = pooling.cost_curve(N, p, float(k_lo), float(k_hi))
     t2 = out / "pooling_cost_curve.csv"
-    write_table(t2, ["k", "expected_tests"], zip(ks, costs))
+    write_table(t2, {"k": ks, "expected_tests": curve})
     tables.append(t2.name)
 
     if config.emit_figures:
         fig = out / "pooling_cost_curve.svg"
         fig.write_text(
             figures.line_chart(
-                [("expected tests", list(ks), list(costs))],
+                [("expected tests", list(ks), list(curve))],
                 title=f"Expected tests vs pool size (N={N}, p={p})",
                 xlabel="pool size k",
                 ylabel="expected number of tests",
@@ -162,16 +166,17 @@ def run_mh(config: RunConfig, out: Path):
 
     tables, figs = [], []
     t1 = out / "mh_histogram.csv"
-    write_table(
-        t1,
-        ["bin_lo", "bin_hi", "empirical_density", "true_density_bin_avg"],
-        zip(edges[:-1], edges[1:], empirical, true_avg),
-    )
+    write_table(t1, {
+        "bin_lo": edges[:-1],
+        "bin_hi": edges[1:],
+        "empirical_density": empirical,
+        "true_density_bin_avg": true_avg,
+    })
     tables.append(t1.name)
 
     grid = np.linspace(-3.0, 3.0, 201)
     t2 = out / "mh_true_density.csv"
-    write_table(t2, ["y", "pdf"], ((y, density.pdf(y)) for y in grid))
+    write_table(t2, {"y": grid, "pdf": [density.pdf(y) for y in grid]})
     tables.append(t2.name)
 
     if config.emit_figures:
@@ -214,27 +219,35 @@ def run_estimator(config: RunConfig, out: Path):
 
     tables, figs = [], []
     t1 = out / "estimator_distributions.csv"
-    rows = []
-    for (name, n), vec in result.distributions.items():
-        rows.extend((name, n, i, v) for i, v in enumerate(vec))
-    write_table(t1, ["estimator", "n", "replicate", "estimate"], rows)
+    dists = result.distributions
+    write_table(t1, {
+        "estimator": np.repeat([name for name, _ in dists], plan.n_reps),
+        "n": np.repeat([n for _, n in dists], plan.n_reps),
+        "replicate": np.tile(np.arange(plan.n_reps), len(dists)),
+        "estimate": np.concatenate(list(dists.values())),
+    })
     tables.append(t1.name)
 
     t2 = out / "estimator_summary.csv"
-    write_table(
-        t2,
-        ["estimator", "n", "mean", "sd", "q1", "median", "q3", "iqr"],
-        (
-            (name, n, s.mean, s.sd, s.q1, s.median, s.q3, s.iqr)
-            for (name, n), s in result.summaries.items()
-        ),
-    )
+    keys, stats = list(result.summaries), list(result.summaries.values())
+    write_table(t2, {
+        "estimator": [name for name, _ in keys],
+        "n": [n for _, n in keys],
+        "mean": [s.mean for s in stats],
+        "sd": [s.sd for s in stats],
+        "q1": [s.q1 for s in stats],
+        "median": [s.median for s in stats],
+        "q3": [s.q3 for s in stats],
+        "iqr": [s.iqr for s in stats],
+    })
     tables.append(t2.name)
 
     if config.emit_figures:
         groups = [
-            (f"{name} (n={n})", _dist_quartiles(vec))
-            for (name, n), vec in result.distributions.items()
+            (f"{name} (n={n})",
+             {"lo": float(vec.min()), "q1": s.q1, "median": s.median,
+              "q3": s.q3, "hi": float(vec.max())})
+            for ((name, n), vec), s in zip(dists.items(), stats)
         ]
         fig = out / "estimator_box.svg"
         fig.write_text(
@@ -269,10 +282,12 @@ def run_gof(config: RunConfig, out: Path):
 
     tables, figs = [], []
     t1 = out / "gof_statistics.csv"
-    rows = []
-    for n, vec in result.statistics.items():
-        rows.extend((n, i, v) for i, v in enumerate(vec))
-    write_table(t1, ["n", "replicate", "statistic"], rows)
+    stats = result.statistics
+    write_table(t1, {
+        "n": np.repeat(list(stats), plan.n_reps),
+        "replicate": np.tile(np.arange(plan.n_reps), len(stats)),
+        "statistic": np.concatenate(list(stats.values())),
+    })
     tables.append(t1.name)
 
     edges = np.linspace(0.0, 20.0, 41)
@@ -282,11 +297,12 @@ def run_gof(config: RunConfig, out: Path):
         counts, _ = np.histogram(vec, bins=40, range=(0.0, 20.0))
         empirical = counts / (vec.size * 0.5)
         t = out / f"gof_overlay_n{n}.csv"
-        write_table(
-            t,
-            ["bin_lo", "bin_hi", "empirical_density", "chisq_density_bin_avg"],
-            zip(edges[:-1], edges[1:], empirical, ref_avg),
-        )
+        write_table(t, {
+            "bin_lo": edges[:-1],
+            "bin_hi": edges[1:],
+            "empirical_density": empirical,
+            "chisq_density_bin_avg": ref_avg,
+        })
         tables.append(t.name)
         distances[n] = gof.shape_distance(vec, result.df)
         if config.emit_figures:

@@ -72,9 +72,7 @@ class RngStream:
     def normals(self, n: int, mean: float = 0.0, sd: float = 1.0) -> np.ndarray:
         if not sd > 0:
             raise ValueError("sd must be positive")
-        # raw() can return exactly 0.0; clamp so ndtri stays finite
-        u = np.maximum(self.raw(n), 1e-300)
-        return mean + sd * ndtri(u)
+        return normals_from_uniforms(self.raw(n), mean, sd)
 
     def bernoulli(self, p: float) -> int:
         return int(self.bernoullis(1, p)[0])
@@ -83,6 +81,14 @@ class RngStream:
         if not 0.0 <= p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
         return (self.raw(n) < p).astype(np.int64)
+
+
+def normals_from_uniforms(
+    u: np.ndarray, mean: float = 0.0, sd: float = 1.0
+) -> np.ndarray:
+    """Normal draws from uniforms on [0, 1) by the inverse CDF, one per uniform."""
+    # a uniform can be exactly 0.0; clamp so ndtri stays finite
+    return mean + sd * ndtri(np.maximum(u, 1e-300))
 
 
 def make_stream(root_seed: int, experiment_id: str, replicate_index: int) -> RngStream:
@@ -154,7 +160,7 @@ def run_replicates_batched(
     experiment_id: str,
     root_seed: int,
     n_draws: int,
-    task: Callable[[np.ndarray], np.ndarray],
+    task: Callable[[np.ndarray], np.ndarray | Mapping[str, np.ndarray]],
 ) -> StudyResult:
     """Run ``task`` once per block of replicates, on their streams' first draws.
 
@@ -162,7 +168,8 @@ def run_replicates_batched(
     whose rows are consecutive replicates' private substreams: row ``i`` of
     the blocks taken in order is, bit for bit,
     ``make_stream(root_seed, experiment_id, i).raw(n_draws)``.  It returns one
-    value per row, collected under ``outputs["value"]``.
+    value per row, collected under ``outputs["value"]``, or a mapping of named
+    arrays of one value per row, collected under their names.
 
     Each row is drawn by re-keying one Philox generator to the replicate's key
     with its counter and buffer zeroed, which is how a fresh stream starts, so
@@ -178,7 +185,7 @@ def run_replicates_batched(
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state
-    parts = []
+    parts: dict[str, list[np.ndarray]] = {}
     for start in range(0, n_reps, size):
         block = np.empty((min(size, n_reps - start), n_draws))
         for r in range(len(block)):
@@ -186,15 +193,25 @@ def run_replicates_batched(
             fresh["state"]["key"] = (key & _WORD, key >> 64)
             bitgen.state = fresh
             gen.random(out=block[r])
-        values = np.asarray(task(block), dtype=float)
-        if values.shape != (len(block),):
+        out = task(block)
+        if not isinstance(out, Mapping):
+            out = {"value": out}
+        if parts and out.keys() != parts.keys():
             raise ValueError(
-                f"task output has shape {values.shape}, expected ({len(block)},)"
+                f"task outputs {sorted(out)} differ from the first block's "
+                f"{sorted(parts)}"
             )
-        parts.append(values)
+        for name, values in out.items():
+            values = np.asarray(values, dtype=float)
+            if values.shape != (len(block),):
+                raise ValueError(
+                    f"task output {name!r} has shape {values.shape}, "
+                    f"expected ({len(block)},)"
+                )
+            parts.setdefault(name, []).append(values)
     return StudyResult(
         experiment_id=experiment_id,
         root_seed=int(root_seed),
         n_reps=n_reps,
-        outputs={"value": np.concatenate(parts)},
+        outputs={name: np.concatenate(vecs) for name, vecs in parts.items()},
     )

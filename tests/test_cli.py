@@ -47,6 +47,26 @@ class TestParseConfig:
         config = parse_config(["mh", "--out", str(tmp_path / "flagout")])
         assert config.output_dir == tmp_path / "flagout"
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["gof", "--sizes", "12"], "--sizes"),
+        (["gof", "--bins", "5"], "--sizes"),
+        (["gof", "--bins", "1"], "--bins"),
+        (["pooling", "--p", "0"], "--p"),
+        (["pooling", "--p", "1"], "--p"),
+    ])
+    def test_invalid_option_is_usage_error(self, argv, flag, tmp_path, capsys):
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_invalid_config_file_option_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps({"p": 0.0}))
+        with pytest.raises(SystemExit) as excinfo:
+            parse_config(["pooling", "--config", str(cfg)])
+        assert excinfo.value.code == 2
+        assert "--p" in capsys.readouterr().err
+
     def test_range_and_sizes_parsing(self):
         config = parse_config(["pooling", "--k-range", "2:10"])
         assert config.options["k_range"] == (2, 10)

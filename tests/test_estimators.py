@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from statlab import simkit
 from statlab.estimators import (
     IQR_TO_SIGMA,
     EstimatorStudyPlan,
@@ -71,6 +72,23 @@ class TestSigmaHatS:
             sigma_hat_s([1.0])
 
 
+class TestRowWise:
+    @pytest.mark.parametrize("n", [4, 5, 100, 401])
+    def test_rows_match_single_calls(self, n):
+        x = np.random.default_rng(n).normal(3.0, 2.0, size=(9, n))
+        for estimator in (sigma_hat_iqr, sigma_hat_s):
+            rows = estimator(x)
+            assert rows.shape == (9,)
+            assert np.array_equal(rows, [estimator(r) for r in x])
+            assert isinstance(estimator(x[0]), float)
+
+    def test_too_small_rows(self):
+        with pytest.raises(ValueError):
+            sigma_hat_iqr(np.zeros((5, 3)))
+        with pytest.raises(ValueError):
+            sigma_hat_s(np.zeros((5, 1)))
+
+
 @pytest.fixture(scope="module")
 def default_result():
     return run_estimator_study(EstimatorStudyPlan(), root_seed=20070420)
@@ -123,6 +141,23 @@ class TestStudy:
         b = run_estimator_study(plan, root_seed=3)
         for key in a.distributions:
             assert np.array_equal(a.distributions[key], b.distributions[key])
+
+    @pytest.mark.parametrize("block_values", [None, 300])
+    def test_matches_per_replicate_definition(self, block_values, monkeypatch):
+        # replicate i is sigma_hat_*(make_stream(seed, id, i).normals(...)) bit
+        # for bit, at the default block cap and at one whose blocks (8 rows at
+        # n = 37, 3 at n = 100) do not divide n_reps
+        if block_values is not None:
+            monkeypatch.setattr(simkit, "_BLOCK_VALUES", block_values)
+        plan = EstimatorStudyPlan(sample_sizes=(37, 100), true_sd=0.5, n_reps=250)
+        res = run_estimator_study(plan, root_seed=17, n_workers=3)
+        for n in plan.sample_sizes:
+            for i in range(plan.n_reps):
+                draws = simkit.make_stream(17, f"estimator-n{n}", i).normals(
+                    n, plan.true_mean, plan.true_sd
+                )
+                assert res.distributions[("iqr", n)][i] == sigma_hat_iqr(draws)
+                assert res.distributions[("s", n)][i] == sigma_hat_s(draws)
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):

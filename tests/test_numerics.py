@@ -129,6 +129,15 @@ class TestQuantileType7:
         with pytest.raises(ValueError):
             quantile_type7([], 0.5)
 
+    @pytest.mark.parametrize("n", [4, 5, 100, 401])
+    @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.75, 1.0])
+    def test_rows_match_single_calls(self, n, p):
+        x = np.random.default_rng(n).normal(size=(7, n))
+        rows = quantile_type7(x, p)
+        assert rows.shape == (7,)
+        assert np.array_equal(rows, [quantile_type7(r, p) for r in x])
+        assert isinstance(quantile_type7(x[0], p), float)
+
 
 class TestSummarize:
     def test_simple(self):

@@ -176,6 +176,30 @@ class TestSimulatePooling:
         assert np.all(res.outputs["value"] >= 10)
         assert np.all(res.outputs["value"] <= 70)
 
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 1.0])
+    def test_totals_match_any_over_pools(self, k, p, monkeypatch):
+        # each replicate's total equals the any-positive-per-pool definition
+        # on the same Bernoulli statuses, bit for bit
+        design = PoolingDesign(N=30 * k, k=k, n=30, p=p)
+
+        def by_any(stream, i):
+            statuses = stream.bernoullis(design.N, p)
+            pos = np.any(statuses.reshape(design.n, k), axis=1).sum()
+            return float(design.n + k * pos)
+
+        expected = simkit.run_replicates(300, "count", 9, by_any).outputs["value"]
+        studies = []
+        run = simkit.run_replicates
+
+        def recording(*args, **kwargs):
+            studies.append(run(*args, **kwargs))
+            return studies[-1]
+
+        monkeypatch.setattr(simkit, "run_replicates", recording)
+        simulate_pooling(design, 300, 9, experiment_id="count")
+        assert np.array_equal(studies[0].outputs["value"], expected)
+
     def test_design_validation(self):
         with pytest.raises(ValueError):
             PoolingDesign(N=11, k=2, n=5, p=0.1)

@@ -1,0 +1,76 @@
+import math
+
+import numpy as np
+import pytest
+
+from statlab import report
+from statlab.report import write_table
+
+
+def _num(x) -> str:
+    """The row-wise cell format that the column-wise writer must reproduce."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return f"{float(x):.10g}"
+
+
+def _rows_bytes(columns: dict) -> bytes:
+    lines = [",".join(columns)]
+    for row in zip(*columns.values()):
+        lines.append(",".join(_num(v) for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+SPECIALS = [math.inf, -math.inf, math.nan, -0.0, 1e-300, float(2**53),
+            0.1, -123456.789012345, 5e-324, 1.7976931348623157e308]
+
+COLUMNS = {
+    "py_int": [0, -7, 2**53, 2**53 + 1, 10**15, 1, 2, 3, 4, 5],
+    "np_int64": np.array([0, -1, 2**53, -(2**62), 7, 8, 9, 10, 11, 12]),
+    "np_uint32": np.arange(10, dtype=np.uint32) * 400_000_000,
+    "int_scalars": [np.int32(v) for v in range(-5, 5)],
+    "py_float": SPECIALS,
+    "np_float64": np.array(SPECIALS),
+    "np_float32": np.array(SPECIALS[:8] + [3.25, 1e-30], dtype=np.float32),
+    "float_scalars": [np.float64(v) for v in SPECIALS],
+    "py_str": ["iqr", "s", "", "a b", "x", "y", "z", "w", "v", "u"],
+    "np_str": np.repeat(["iqr", "s"], 5),
+}
+
+
+class TestWriteTable:
+    @pytest.mark.parametrize("chunk_rows", [None, 3, 10])
+    def test_bytes_match_row_formatting(self, chunk_rows, tmp_path, monkeypatch):
+        if chunk_rows is not None:
+            monkeypatch.setattr(report, "_CHUNK_ROWS", chunk_rows)
+        path = tmp_path / "t.csv"
+        write_table(path, COLUMNS)
+        assert path.read_bytes() == _rows_bytes(COLUMNS)
+
+    def test_special_float_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, {"x": SPECIALS[:6], "k": [2**53] * 6})
+        assert path.read_text().splitlines() == [
+            "x,k",
+            "inf,9007199254740992",
+            "-inf,9007199254740992",
+            "nan,9007199254740992",
+            "-0,9007199254740992",
+            "1e-300,9007199254740992",
+            "9.007199255e+15,9007199254740992",
+        ]
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, {"a": [], "b": np.array([])})
+        assert path.read_bytes() == b"a,b\n"
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="equal length"):
+            write_table(tmp_path / "t.csv", {"a": [1, 2], "b": [1.0]})
+
+    def test_mixed_column_rejected(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_table(tmp_path / "t.csv", {"a": [1, "x", None]})

@@ -168,6 +168,31 @@ class TestRunReplicatesBatched:
             make_stream(3, "ord", i).raw(1)[0] for i in range(50)
         ]
 
+    def test_named_outputs(self, monkeypatch):
+        monkeypatch.setattr(simkit, "_BLOCK_VALUES", 4 * 3)
+        res = run_replicates_batched(
+            10, "named", 5, 3,
+            lambda block: {"first": block[:, 0], "last": block[:, -1]},
+        )
+        assert list(res.outputs) == ["first", "last"]
+        for i in range(10):
+            row = make_stream(5, "named", i).raw(3)
+            assert res.outputs["first"][i] == row[0]
+            assert res.outputs["last"][i] == row[-1]
+
+    def test_named_output_checks(self, monkeypatch):
+        with pytest.raises(ValueError, match="'b' has shape"):
+            run_replicates_batched(
+                4, "named", 0, 2, lambda block: {"a": block[:, 0], "b": block}
+            )
+        # a block whose names differ from the first block's is rejected
+        monkeypatch.setattr(simkit, "_BLOCK_VALUES", 2 * 2)
+        names = iter(["a", "b"])
+        with pytest.raises(ValueError, match="differ"):
+            run_replicates_batched(
+                4, "named", 0, 2, lambda block: {next(names): block[:, 0]}
+            )
+
     def test_wrong_output_length_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             run_replicates_batched(10, "len", 0, 3, lambda block: block)
