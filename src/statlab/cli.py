@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
-from . import DEFAULT_SEED, gof
+from . import DEFAULT_SEED, gof, mh
 from .report import RunConfig, run_and_report
 
 
@@ -96,6 +97,14 @@ def _check_options(parser: argparse.ArgumentParser, subcommand: str,
     if subcommand == "pooling" and "p" in options:
         if not 0.0 < options["p"] < 1.0:
             parser.error(f"--p must lie strictly in (0, 1), got {options['p']}")
+    if subcommand == "mh":
+        sd = options.get("proposal_sd", mh.MhConfig.proposal_sd)
+        if not (math.isfinite(sd) and sd > 0):
+            parser.error(f"--proposal-sd must be positive and finite, got {sd}")
+        if options.get("burn_in", mh.MhConfig.burn_in) < 0:
+            parser.error(f"--burn-in must be at least 0, got {options['burn_in']}")
+        if options.get("samples", mh.MhConfig.n_samples) < 1:
+            parser.error(f"--samples must be at least 1, got {options['samples']}")
     if subcommand == "gof":
         bins = options.get("bins", gof.GofPlan.bins)
         if bins < 2:
@@ -130,10 +139,13 @@ def parse_config(argv: list[str]) -> RunConfig:
         if value is not None:
             options[key] = value
     _check_options(parser, args.subcommand, options)
+    n_reps = pick("reps", None)
+    if n_reps is not None and n_reps < 1:
+        parser.error(f"--reps must be at least 1, got {n_reps}")
     return RunConfig(
         subcommand=args.subcommand,
         root_seed=int(pick("seed", DEFAULT_SEED)),
-        n_reps=pick("reps", None),
+        n_reps=n_reps,
         output_dir=Path(pick("out", default_out)),
         emit_figures=bool(pick("figures", False)),
         options=options,

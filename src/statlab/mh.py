@@ -11,10 +11,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .numerics import QuadratureResult, integrate_interval, integrate_real_line
-from .simkit import RngStream
+from .simkit import RngStream, normals_from_uniforms
 
 
 def log_unnormalized(y: float) -> float:
@@ -64,8 +63,8 @@ class MhConfig:
     initial_x: float = 3.0
 
     def __post_init__(self):
-        if not self.proposal_sd > 0:
-            raise ValueError("proposal_sd must be positive")
+        if not (math.isfinite(self.proposal_sd) and self.proposal_sd > 0):
+            raise ValueError("proposal_sd must be positive and finite")
         if self.burn_in < 0 or self.n_samples < 1:
             raise ValueError("need burn_in >= 0 and n_samples >= 1")
 
@@ -86,9 +85,9 @@ def acceptance_prob(x: float, y: float) -> float:
     return min(1.0, math.exp(min(0.0, log_unnormalized(y) - log_unnormalized(x))))
 
 
-def mh_step(x: float, stream: RngStream) -> tuple[float, bool]:
+def mh_step(x: float, stream: RngStream, sd: float = 1.0) -> tuple[float, bool]:
     """One Metropolis-Hastings transition; consumes exactly two stream draws."""
-    y = stream.normal(mean=x, sd=1.0)
+    y = stream.normal(mean=x, sd=sd)
     u = stream.uniform()
     log_alpha = log_unnormalized(y) - log_unnormalized(x)
     if math.log(max(u, 1e-300)) < log_alpha:
@@ -96,35 +95,53 @@ def mh_step(x: float, stream: RngStream) -> tuple[float, bool]:
     return x, False
 
 
+# Steps drawn at once; bounds the chain's working set besides the samples
+# array to about 10 MB (two lists of 2**16 Python floats and their arrays).
+_CHUNK_STEPS = 1 << 16
+
+
 def run_chain(config: MhConfig, root_seed: int,
               experiment_id: str = "mh-chain") -> ChainResult:
     """Burn in, then collect n_samples states of the random-walk chain.
 
     Draw order per step is (proposal normal, acceptance uniform), identical to
-    repeated mh_step calls on the same stream; proposals are precomputed in
-    bulk only for speed.
+    repeated mh_step calls on the same stream.  The draws are taken
+    ``_CHUNK_STEPS`` steps at a time and turned into Python floats, so besides
+    the ``n_samples`` array the chain holds one chunk's draws (about 10 MB)
+    whatever its length.  The step rule is written out in the loops, which
+    call no Python function per step; burn-in steps are neither counted nor
+    stored.
     """
     stream = RngStream(root_seed, experiment_id, 0)
-    total = config.burn_in + config.n_samples
-    us = stream.raw(2 * total)
-    z = ndtri(np.maximum(us[0::2], 1e-300))
-    log_u = np.log(np.maximum(us[1::2], 1e-300))
-
     sd = config.proposal_sd
+    burn_in = config.burn_in
+    total = burn_in + config.n_samples
     x = config.initial_x
     log_gx = log_unnormalized(x)
+    log1p = math.log1p
     samples = np.empty(config.n_samples)
     accepted = 0
-    burn_in = config.burn_in
-    for i in range(total):
-        y = x + sd * z[i]
-        log_gy = 3.0 * math.log1p(abs(y)) - y**4
-        if log_u[i] < log_gy - log_gx:
-            x, log_gx = y, log_gy
-            if i >= burn_in:
+    for start in range(0, total, _CHUNK_STEPS):
+        m = min(_CHUNK_STEPS, total - start)
+        us = stream.raw(2 * m)
+        dz = normals_from_uniforms(us[0::2], sd=sd).tolist()
+        log_u = np.log(np.maximum(us[1::2], 1e-300)).tolist()
+        split = min(max(burn_in - start, 0), m)
+        for d, lu in zip(dz[:split], log_u[:split]):
+            y = x + d
+            log_gy = 3.0 * log1p(abs(y)) - y**4
+            if lu < log_gy - log_gx:
+                x, log_gx = y, log_gy
+        kept = []
+        keep = kept.append
+        for d, lu in zip(dz[split:], log_u[split:]):
+            y = x + d
+            log_gy = 3.0 * log1p(abs(y)) - y**4
+            if lu < log_gy - log_gx:
+                x, log_gx = y, log_gy
                 accepted += 1
-        if i >= burn_in:
-            samples[i - burn_in] = x
+            keep(x)
+        samples[start + split - burn_in:start + m - burn_in] = kept
     return ChainResult(
         samples=samples,
         acceptance_rate=accepted / config.n_samples,
@@ -145,14 +162,24 @@ def binned_true_density(density: TargetDensity, edges: np.ndarray) -> np.ndarray
     return avgs
 
 
-def density_distance(
+@dataclass(frozen=True)
+class DensityHistogram:
+    """A sample's histogram beside the bin-averaged target density."""
+
+    edges: np.ndarray
+    empirical: np.ndarray
+    true_avg: np.ndarray
+    distance: float  # sup over bins of |empirical - true_avg|
+
+
+def density_histogram(
     samples: np.ndarray,
     density: TargetDensity,
     bins: int = 40,
     lo: float = -3.0,
     hi: float = 3.0,
-) -> float:
-    """Sup over bins of |empirical density - bin-averaged true density|.
+) -> DensityHistogram:
+    """Empirical density of the samples on [lo, hi] against the target's.
 
     The empirical density uses the full sample count in the denominator, so
     mass outside [lo, hi] counts against the in-range histogram.
@@ -163,6 +190,18 @@ def density_distance(
     if bins < 5:
         raise ValueError("need at least 5 bins")
     counts, edges = np.histogram(samples, bins=bins, range=(lo, hi))
-    width = (hi - lo) / bins
-    empirical = counts / (samples.size * width)
-    return float(np.max(np.abs(empirical - binned_true_density(density, edges))))
+    empirical = counts / (samples.size * (edges[1] - edges[0]))
+    true_avg = binned_true_density(density, edges)
+    return DensityHistogram(edges=edges, empirical=empirical, true_avg=true_avg,
+                            distance=float(np.max(np.abs(empirical - true_avg))))
+
+
+def density_distance(
+    samples: np.ndarray,
+    density: TargetDensity,
+    bins: int = 40,
+    lo: float = -3.0,
+    hi: float = 3.0,
+) -> float:
+    """Sup over bins of |empirical density - bin-averaged true density|."""
+    return density_histogram(samples, density, bins, lo, hi).distance

@@ -80,7 +80,7 @@ def run_pooling(config: RunConfig, out: Path):
     p = float(opts.get("p", 0.05))
     N = int(opts.get("N", 5000))
     k_lo, k_hi = opts.get("k_range", (2, 10))
-    n_reps = config.n_reps or 1000
+    n_reps = 1000 if config.n_reps is None else config.n_reps
 
     candidates = [k for k in range(int(k_lo), int(k_hi) + 1) if N % k == 0]
     best_k, best_cost = pooling.optimal_pool_size_integer(N, p, candidates)
@@ -157,36 +157,31 @@ def run_mh(config: RunConfig, out: Path):
     density = mh.TargetDensity()
     c = density.normalize()
     result = mh.run_chain(mh_config, config.root_seed)
-    distance = mh.density_distance(result.samples, density)
-
-    counts, edges = np.histogram(result.samples, bins=40, range=(-3.0, 3.0))
-    width = edges[1] - edges[0]
-    empirical = counts / (result.samples.size * width)
-    true_avg = mh.binned_true_density(density, edges)
+    hist = mh.density_histogram(result.samples, density)
 
     tables, figs = [], []
     t1 = out / "mh_histogram.csv"
     write_table(t1, {
-        "bin_lo": edges[:-1],
-        "bin_hi": edges[1:],
-        "empirical_density": empirical,
-        "true_density_bin_avg": true_avg,
+        "bin_lo": hist.edges[:-1],
+        "bin_hi": hist.edges[1:],
+        "empirical_density": hist.empirical,
+        "true_density_bin_avg": hist.true_avg,
     })
     tables.append(t1.name)
 
     grid = np.linspace(-3.0, 3.0, 201)
     t2 = out / "mh_true_density.csv"
-    write_table(t2, {"y": grid, "pdf": [density.pdf(y) for y in grid]})
+    pdf = [density.pdf(y) for y in grid]
+    write_table(t2, {"y": grid, "pdf": pdf})
     tables.append(t2.name)
 
     if config.emit_figures:
         fig = out / "mh_density.svg"
         fig.write_text(
             figures.histogram_chart(
-                list(edges),
-                list(empirical),
-                overlay=("true density", list(grid),
-                         [density.pdf(y) for y in grid]),
+                list(hist.edges),
+                list(hist.empirical),
+                overlay=("true density", list(grid), pdf),
                 title="Metropolis-Hastings samples vs true density",
                 xlabel="y",
             )
@@ -202,7 +197,7 @@ def run_mh(config: RunConfig, out: Path):
         "sample_mean": float(result.samples.mean()),
         "sample_variance": float(result.samples.var()),
         "target_variance_quadrature": density.second_moment(),
-        "density_distance": distance,
+        "density_distance": hist.distance,
     }
     return tables, figs, summary, warnings
 
@@ -212,7 +207,7 @@ def run_estimator(config: RunConfig, out: Path):
     plan = estimators.EstimatorStudyPlan(
         sample_sizes=tuple(opts.get("sizes", (100, 400))),
         true_sd=float(opts.get("sigma", math.pi)),
-        n_reps=config.n_reps or 1000,
+        n_reps=1000 if config.n_reps is None else config.n_reps,
     )
     result = estimators.run_estimator_study(plan, config.root_seed,
                                             n_workers=config.n_workers)
@@ -275,7 +270,7 @@ def run_gof(config: RunConfig, out: Path):
     plan = gof.GofPlan(
         bins=int(opts.get("bins", 8)),
         sample_sizes=tuple(opts.get("sizes", (16, 64))),
-        n_reps=config.n_reps or 10_000,
+        n_reps=10_000 if config.n_reps is None else config.n_reps,
     )
     result = gof.simulate_uniform_gof(plan, config.root_seed,
                                       n_workers=config.n_workers)

@@ -53,6 +53,13 @@ class TestParseConfig:
         (["gof", "--bins", "1"], "--bins"),
         (["pooling", "--p", "0"], "--p"),
         (["pooling", "--p", "1"], "--p"),
+        (["mh", "--proposal-sd", "inf"], "--proposal-sd"),
+        (["mh", "--proposal-sd", "0"], "--proposal-sd"),
+        (["mh", "--proposal-sd", "nan"], "--proposal-sd"),
+        (["mh", "--samples", "0"], "--samples"),
+        (["mh", "--burn-in", "-1"], "--burn-in"),
+        (["gof", "--reps", "0"], "--reps"),
+        (["pooling", "--reps", "-1"], "--reps"),
     ])
     def test_invalid_option_is_usage_error(self, argv, flag, tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path)]) == 2
@@ -66,6 +73,14 @@ class TestParseConfig:
             parse_config(["pooling", "--config", str(cfg)])
         assert excinfo.value.code == 2
         assert "--p" in capsys.readouterr().err
+
+    def test_config_file_reps_zero_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps({"reps": 0}))
+        with pytest.raises(SystemExit) as excinfo:
+            parse_config(["gof", "--config", str(cfg)])
+        assert excinfo.value.code == 2
+        assert "--reps" in capsys.readouterr().err
 
     def test_range_and_sizes_parsing(self):
         config = parse_config(["pooling", "--k-range", "2:10"])
@@ -120,6 +135,12 @@ class TestRunAndReport:
         lines = (tmp_path / "estimator_distributions.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 2 * 100  # two estimators, two sizes
         assert (tmp_path / "estimator_box.svg").exists()
+
+    def test_zero_reps_is_not_the_default(self, tmp_path):
+        config = RunConfig(subcommand="gof", root_seed=3, n_reps=0,
+                           output_dir=tmp_path)
+        with pytest.raises(ValueError):
+            run_and_report(config)
 
     def test_unwritable_output_dir_fails_with_runtime_error(self, tmp_path):
         blocker = tmp_path / "blocker"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import rejection_sample_target
+from statlab import mh
 from statlab.mh import (
     ChainResult,
     MhConfig,
@@ -153,23 +154,38 @@ class TestRunChain:
         assert np.array_equal(a.samples, b.samples)
         assert a.acceptance_rate == b.acceptance_rate
 
-    def test_matches_stepwise_execution(self):
-        config = MhConfig(burn_in=50, n_samples=100, initial_x=3.0)
-        bulk = run_chain(config, root_seed=77, experiment_id="stepwise")
-        stream = make_stream(77, "stepwise", 0)
-        x = config.initial_x
-        samples = []
-        for i in range(config.burn_in + config.n_samples):
-            x, _ = mh_step(x, stream)
-            if i >= config.burn_in:
-                samples.append(x)
-        assert np.array_equal(bulk.samples, np.array(samples))
+    def test_matches_stepwise_execution(self, monkeypatch):
+        # chunk None keeps the default (one chunk); 16 puts the burn-in /
+        # sampling boundary before, inside and on chunk boundaries.
+        cases = [(50, None), (0, 16), (5, 16), (37, 16), (48, 16)]
+        for sd in (0.3, 1.0, 2.5):
+            for burn_in, chunk in cases:
+                if chunk is not None:
+                    monkeypatch.setattr(mh, "_CHUNK_STEPS", chunk)
+                config = MhConfig(proposal_sd=sd, burn_in=burn_in,
+                                  n_samples=100, initial_x=3.0)
+                bulk = run_chain(config, root_seed=77, experiment_id="stepwise")
+                monkeypatch.undo()
+                stream = make_stream(77, "stepwise", 0)
+                x = config.initial_x
+                samples, accepted = [], 0
+                for i in range(config.burn_in + config.n_samples):
+                    x, moved = mh_step(x, stream, sd=sd)
+                    if i >= config.burn_in:
+                        samples.append(x)
+                        accepted += moved
+                assert np.array_equal(bulk.samples, np.array(samples)), (sd, burn_in)
+                assert bulk.accepted == accepted, (sd, burn_in)
+                assert bulk.acceptance_rate == accepted / config.n_samples
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             MhConfig(proposal_sd=0.0)
         with pytest.raises(ValueError):
             MhConfig(n_samples=0)
+        for sd in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                MhConfig(proposal_sd=sd)
 
 
 class TestDensityDistance:

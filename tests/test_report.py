@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from statlab import report
-from statlab.report import write_table
+from statlab import mh, report
+from statlab.report import RunConfig, run_and_report, write_table
 
 
 def _num(x) -> str:
@@ -74,3 +74,17 @@ class TestWriteTable:
     def test_mixed_column_rejected(self, tmp_path):
         with pytest.raises(TypeError):
             write_table(tmp_path / "t.csv", {"a": [1, "x", None]})
+
+
+def test_run_mh_bins_the_reference_once(tmp_path, monkeypatch):
+    calls = []
+    binned = mh.binned_true_density
+
+    def counted(*args):
+        calls.append(args)
+        return binned(*args)
+
+    monkeypatch.setattr(mh, "binned_true_density", counted)
+    run_and_report(RunConfig(subcommand="mh", root_seed=3, output_dir=tmp_path,
+                             options={"burn_in": 10, "samples": 1000}))
+    assert len(calls) == 1
