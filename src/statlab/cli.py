@@ -160,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
         config = parse_config(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"statlab: {exc}", file=sys.stderr)
         return 2
     try:

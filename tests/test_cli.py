@@ -82,6 +82,11 @@ class TestParseConfig:
         assert excinfo.value.code == 2
         assert "--reps" in capsys.readouterr().err
 
+    def test_config_file_value_of_wrong_type_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps({"proposal_sd": "wide"}))
+        assert main(["mh", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
     def test_range_and_sizes_parsing(self):
         config = parse_config(["pooling", "--k-range", "2:10"])
         assert config.options["k_range"] == (2, 10)

@@ -155,17 +155,15 @@ class TestRunChain:
         assert a.acceptance_rate == b.acceptance_rate
 
     def test_matches_stepwise_execution(self, monkeypatch):
-        # chunk None keeps the default (one chunk); 16 puts the burn-in /
-        # sampling boundary before, inside and on chunk boundaries.
-        cases = [(50, None), (0, 16), (5, 16), (37, 16), (48, 16)]
+        # At the default chunk the chain is one chunk; chunks of 16 steps put
+        # the burn-in / sampling boundary before, inside and on a chunk edge.
+        cases = [(50, mh._CHUNK_STEPS), (0, 16), (5, 16), (37, 16), (48, 16)]
         for sd in (0.3, 1.0, 2.5):
             for burn_in, chunk in cases:
-                if chunk is not None:
-                    monkeypatch.setattr(mh, "_CHUNK_STEPS", chunk)
+                monkeypatch.setattr(mh, "_CHUNK_STEPS", chunk)
                 config = MhConfig(proposal_sd=sd, burn_in=burn_in,
                                   n_samples=100, initial_x=3.0)
                 bulk = run_chain(config, root_seed=77, experiment_id="stepwise")
-                monkeypatch.undo()
                 stream = make_stream(77, "stepwise", 0)
                 x = config.initial_x
                 samples, accepted = [], 0
