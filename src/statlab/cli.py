@@ -101,10 +101,12 @@ def _check_options(parser: argparse.ArgumentParser, subcommand: str,
         sd = options.get("proposal_sd", mh.MhConfig.proposal_sd)
         if not (math.isfinite(sd) and sd > 0):
             parser.error(f"--proposal-sd must be positive and finite, got {sd}")
-        if options.get("burn_in", mh.MhConfig.burn_in) < 0:
-            parser.error(f"--burn-in must be at least 0, got {options['burn_in']}")
-        if options.get("samples", mh.MhConfig.n_samples) < 1:
-            parser.error(f"--samples must be at least 1, got {options['samples']}")
+        burn_in = options.get("burn_in", mh.MhConfig.burn_in)
+        if burn_in < 0:
+            parser.error(f"--burn-in must be at least 0, got {burn_in}")
+        samples = options.get("samples", mh.MhConfig.n_samples)
+        if samples < 1:
+            parser.error(f"--samples must be at least 1, got {samples}")
     if subcommand == "gof":
         bins = options.get("bins", gof.GofPlan.bins)
         if bins < 2:
