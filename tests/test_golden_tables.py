@@ -11,6 +11,42 @@ import pytest
 
 from statlab.cli import main
 
+# Every table each short-replicate subcommand writes at its default settings.
+DEFAULT_TABLES = {
+    "pooling": {
+        "pooling_candidates.csv":
+            "4fac5f8804e1e98c29b17c8736d6c5e58a0d9b5b7c95c8a79ef655fa5eab70e5",
+        "pooling_cost_curve.csv":
+            "1cfea9a5b28978c74dc7789f3eed39f7ce6cd1175d784b708b92e91a12c71805",
+    },
+    "gof": {
+        "gof_statistics.csv":
+            "ca97685cd32199118da8792623f2448b991250a3ea7643f20ac760ee83a3a572",
+        "gof_overlay_n16.csv":
+            "f5c383647a32fe377f678b622398cff172f33bd5125df3658f8900d4ab449d9e",
+        "gof_overlay_n64.csv":
+            "483552240f4e1c29d624d3c1ab4086bb974e591b3cd7669b2fb34f57d6cfeb2e",
+    },
+    "estimator": {
+        "estimator_distributions.csv":
+            "72c7d88370031a67bc3bff28c192e83e2171d0a6ba843b712e89d4e36912dfea",
+        "estimator_summary.csv":
+            "2e4dcc66f9ef888c09a0f7f2a985ec5030664eeaeb9e08163bcdca2d4719e898",
+    },
+}
+
+# (flags, pooling tables) for non-default pooling runs.  N = 60 puts many
+# replicates in one block of draws; the worker count must change nothing.
+POOLING_RUNS = [
+    (["--N", "60", "--k-range", "2:6", "--p", "0.2", "--reps", "3000"], {
+        "pooling_candidates.csv":
+            "88fcca8297bf3cd17a68bfe4f21462ee6f717acc591ee3ae7bc20ca89881dae2",
+        "pooling_cost_curve.csv":
+            "3084cec2a4f3a554665383acb8f9294281b110978564ead2c3243c7502a1a35d",
+    }),
+    (["--workers", "2"], DEFAULT_TABLES["pooling"]),
+]
+
 # mh_true_density.csv depends on no chain setting, so one digest covers all.
 MH_TRUE_DENSITY = "c60aebabf934808b56771b6d9bb53cc424b8da48ed79487074317eebf14d5add"
 
@@ -44,3 +80,19 @@ def test_mh_tables(flags, histogram, tmp_path):
     assert main(["mh", *flags, "--out", str(tmp_path)]) == 0
     assert _digest(tmp_path / "mh_histogram.csv") == histogram
     assert _digest(tmp_path / "mh_true_density.csv") == MH_TRUE_DENSITY
+
+
+def _check_tables(argv, tables, out):
+    assert main([*argv, "--out", str(out)]) == 0
+    for name, digest in tables.items():
+        assert _digest(out / name) == digest, name
+
+
+@pytest.mark.parametrize("subcommand", sorted(DEFAULT_TABLES))
+def test_default_tables(subcommand, tmp_path):
+    _check_tables([subcommand], DEFAULT_TABLES[subcommand], tmp_path)
+
+
+@pytest.mark.parametrize("flags, tables", POOLING_RUNS)
+def test_pooling_tables(flags, tables, tmp_path):
+    _check_tables(["pooling", *flags], tables, tmp_path)
