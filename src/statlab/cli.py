@@ -16,8 +16,8 @@ import os
 import sys
 from pathlib import Path
 
-from . import DEFAULT_SEED, gof, mh
-from .report import RunConfig, run_and_report
+from . import DEFAULT_SEED, estimators, gof, mh
+from .report import POOLING_DEFAULTS, RunConfig, run_and_report
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -51,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", type=Path, default=None,
                         help="JSON config file with defaults for any flag")
     common.add_argument("--workers", type=int, default=None,
-                        help="worker threads for replicates (default 1)")
+                        help="accepted and ignored: replicates always run "
+                        "serially, in replicate order")
 
     p = sub.add_parser("pooling", parents=[common],
                        help="pooled blood testing costs and optimal pool size")
@@ -89,14 +90,47 @@ _OPTION_KEYS = {
     "gof": ("bins", "sizes"),
     "all": (),
 }
+_COMMON_KEYS = ("seed", "reps", "out", "figures", "workers")
+# config-file keys that take an integer; the list keys take a list of them
+_INT_KEYS = ("seed", "reps", "N", "burn_in", "samples", "bins", "workers",
+             "sizes", "k_range")
+_LIST_KEYS = ("sizes", "k_range")
+
+
+def _check_file_values(parser: argparse.ArgumentParser, values) -> None:
+    """Reject config-file keys that no subcommand knows, and integer keys
+    given anything but integers (bools included), as usage errors (exit 2)."""
+    if not isinstance(values, dict):
+        parser.error("config file must hold a JSON object")
+    known = set(_COMMON_KEYS).union(*_OPTION_KEYS.values())
+    for key, value in values.items():
+        if key not in known:
+            parser.error(f"config file: unknown key {key!r}")
+        items = value if key in _LIST_KEYS else [value]
+        if key in _INT_KEYS and not (
+                type(items) is list and items and all(type(v) is int for v in items)):
+            kind = "a list of integers" if key in _LIST_KEYS else "an integer"
+            parser.error(f"config file: {key!r} must be {kind}, got {value!r}")
 
 
 def _check_options(parser: argparse.ArgumentParser, subcommand: str,
-                   options: dict) -> None:
+                   options: dict, n_reps: int | None) -> None:
     """Reject option values a study cannot run with, as usage errors (exit 2)."""
-    if subcommand == "pooling" and "p" in options:
-        if not 0.0 < options["p"] < 1.0:
-            parser.error(f"--p must lie strictly in (0, 1), got {options['p']}")
+    min_reps = 2 if subcommand in ("estimator", "all") else 1
+    if n_reps is not None and n_reps < min_reps:
+        parser.error(f"--reps must be at least {min_reps}, got {n_reps}")
+    if subcommand == "pooling":
+        p = options.get("p", POOLING_DEFAULTS["p"])
+        if not 0.0 < p < 1.0:
+            parser.error(f"--p must lie strictly in (0, 1), got {p}")
+        N = options.get("N", POOLING_DEFAULTS["N"])
+        k_range = tuple(options.get("k_range", POOLING_DEFAULTS["k_range"]))
+        if len(k_range) != 2 or not 2 <= k_range[0] < k_range[1] <= N:
+            parser.error(f"--k-range must be LO:HI with 2 <= LO < HI <= --N "
+                         f"{N}, got {k_range}")
+        lo, hi = k_range
+        if not any(N % k == 0 for k in range(lo, hi + 1)):
+            parser.error(f"--N {N} has no divisor in --k-range {lo}:{hi}")
     if subcommand == "mh":
         sd = options.get("proposal_sd", mh.MhConfig.proposal_sd)
         if not (math.isfinite(sd) and sd > 0):
@@ -115,6 +149,14 @@ def _check_options(parser: argparse.ArgumentParser, subcommand: str,
             if n < bins or n % bins:
                 parser.error(f"--sizes: sample size {n} is not a positive "
                              f"multiple of --bins {bins}")
+    if subcommand == "estimator":
+        plan = estimators.EstimatorStudyPlan
+        sigma = options.get("sigma", plan.true_sd)
+        if not (math.isfinite(sigma) and sigma > 0):
+            parser.error(f"--sigma must be positive and finite, got {sigma}")
+        for n in options.get("sizes", plan.sample_sizes):
+            if n < 4:
+                parser.error(f"--sizes: sample size {n} is below 4")
 
 
 def parse_config(argv: list[str]) -> RunConfig:
@@ -124,6 +166,7 @@ def parse_config(argv: list[str]) -> RunConfig:
     file_values: dict = {}
     if args.config is not None:
         file_values = json.loads(Path(args.config).read_text())
+        _check_file_values(parser, file_values)
 
     def pick(name, default):
         flag = getattr(args, name, None)
@@ -140,10 +183,8 @@ def parse_config(argv: list[str]) -> RunConfig:
         value = pick(key, None)
         if value is not None:
             options[key] = value
-    _check_options(parser, args.subcommand, options)
     n_reps = pick("reps", None)
-    if n_reps is not None and n_reps < 1:
-        parser.error(f"--reps must be at least 1, got {n_reps}")
+    _check_options(parser, args.subcommand, options, n_reps)
     return RunConfig(
         subcommand=args.subcommand,
         root_seed=int(pick("seed", DEFAULT_SEED)),
@@ -151,7 +192,6 @@ def parse_config(argv: list[str]) -> RunConfig:
         output_dir=Path(pick("out", default_out)),
         emit_figures=bool(pick("figures", False)),
         options=options,
-        n_workers=int(pick("workers", 1)),
     )
 
 

@@ -30,8 +30,8 @@ class EstimatorStudyPlan:
     def __post_init__(self):
         if any(n < 4 for n in self.sample_sizes):
             raise ValueError("sample sizes must be >= 4")
-        if not self.true_sd > 0:
-            raise ValueError("true_sd must be positive")
+        if not (math.isfinite(self.true_sd) and self.true_sd > 0):
+            raise ValueError("true_sd must be positive and finite")
         if self.n_reps < 2:
             raise ValueError("n_reps must be >= 2")
 
@@ -71,7 +71,7 @@ def sigma_hat_s(sample: Sequence[float]) -> float | np.ndarray:
 
 
 def run_estimator_study(
-    plan: EstimatorStudyPlan, root_seed: int, n_workers: int = 1
+    plan: EstimatorStudyPlan, root_seed: int
 ) -> EstimatorStudyResult:
     """Sampling distributions of both estimators at each planned sample size.
 
@@ -80,8 +80,7 @@ def run_estimator_study(
     for bit, ``sigma_hat_<name>(make_stream(root_seed, f"estimator-n{n}", i)
     .normals(n, plan.true_mean, plan.true_sd))``.  Replicates are computed in
     blocks (``simkit.run_replicates_batched``); the output does not depend on
-    the block size.  ``n_workers`` is accepted so that every study takes the
-    same options; the blocks run serially and it changes no output.
+    the block size.
     """
 
     def block_estimates(block: np.ndarray) -> dict[str, np.ndarray]:

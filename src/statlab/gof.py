@@ -78,9 +78,7 @@ def bin_uniform(draws: Sequence[float], bins: int) -> np.ndarray:
     return counts.reshape(*idx.shape[:-1], bins).astype(np.int64)
 
 
-def simulate_uniform_gof(
-    plan: GofPlan, root_seed: int, n_workers: int = 1
-) -> GofResult:
+def simulate_uniform_gof(plan: GofPlan, root_seed: int) -> GofResult:
     """Null distribution of the Pearson statistic for each planned sample size.
 
     Replicate ``i`` at sample size ``n`` bins the first ``n`` draws of its
@@ -89,8 +87,7 @@ def simulate_uniform_gof(
     ``pearson_statistic(bin_uniform(make_stream(root_seed, f"gof-n{n}", i)
     .uniforms(n, 0, bins), bins), expected)``.  Replicates are computed in
     blocks (``simkit.run_replicates_batched``); the output does not depend on
-    the block size.  ``n_workers`` is accepted so that every study takes the
-    same options; the blocks run serially and it changes no output.
+    the block size.
     """
     statistics: dict[int, np.ndarray] = {}
     for n in plan.sample_sizes:

@@ -6,12 +6,13 @@ triggers k individual retests, so that pool costs k+1 tests in total.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import simkit
-from .numerics import minimize_scalar, solve_root
+from .numerics import minimize_scalar, solve_root, summarize
 
 
 @dataclass(frozen=True)
@@ -42,9 +43,14 @@ class PoolingCost:
 
 @dataclass(frozen=True)
 class ContinuousOptimum:
-    k: float
+    k: float | None  # None when pooling cannot beat individual testing
     expected_tests_per_person: float
     at_boundary: bool
+
+
+# Dorfman (1943) on real k: some pool size costs under one test per person,
+# min_k 1/k + 1 - (1-p)^k < 1, exactly when p is below this prevalence.
+POOLING_HELPS_BELOW = 1.0 - math.exp(-1.0 / math.e)
 
 
 def expected_tests(k: float, n: float, p: float) -> float:
@@ -68,20 +74,30 @@ def expected_tests_per_person(k: float, p: float) -> float:
     return 1.0 / k + 1.0 - (1.0 - p) ** k
 
 
+def pooling_helps(p: float) -> bool:
+    """Whether some real pool size beats individual testing at prevalence p."""
+    return p < POOLING_HELPS_BELOW
+
+
 def optimal_pool_size_continuous(p: float, tol: float = 1e-6) -> ContinuousOptimum:
     """Continuous pool size minimizing expected tests per person.
 
     The population size cancels, so the objective is c(k) = 1/k + 1 - (1-p)^k.
-    When the minimum sits on the search bracket's edge (large p, where pooling
-    cannot beat individual testing) the result is flagged ``at_boundary``.
+    While pooling helps, the optimality residual changes sign exactly once on
+    [1.5, 1/p] (cost falling, then rising), so c is unimodal there and the
+    golden-section search runs on it.  Where pooling cannot beat individual
+    testing there is no pool size: ``k`` is None, the cost is one test per
+    person and ``at_boundary`` is set, as it is if the search ever ends on its
+    bracket's edge.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("prevalence must lie strictly in (0, 1)")
-    lo, hi = 1.5, max(50.0, 10.0 / p)
+    if not pooling_helps(p):
+        return ContinuousOptimum(k=None, expected_tests_per_person=1.0,
+                                 at_boundary=True)
+    lo, hi = 1.5, 1.0 / p
     k, cost = minimize_scalar(lambda k: expected_tests_per_person(k, p), lo, hi, tol=tol)
-    edge = min(k - lo, hi - k) < 0.01 * (hi - lo)
-    if edge:
-        k = min(max(k, lo), hi)
+    edge = min(k - lo, hi - k) <= tol
     return ContinuousOptimum(k=k, expected_tests_per_person=cost, at_boundary=edge)
 
 
@@ -94,24 +110,17 @@ def optimality_residual(k: float, p: float) -> float:
     return 1.0 / (k * k) + np.log(1.0 - p) * (1.0 - p) ** k
 
 
-def optimal_pool_size_root(p: float, tol: float = 1e-6) -> float:
+def optimal_pool_size_root(p: float, tol: float = 1e-6) -> float | None:
     """Continuous optimum found by bisection on the optimality condition.
 
-    The residual changes sign twice (cost local minimum, then local maximum
-    before the slow 1/k decay toward one test per person), so bisection runs
-    on the first sign change found by a coarse upward scan.
+    The residual changes sign once on [1.5, 1/p], at the optimum, so
+    bisection runs on that whole bracket.  None where pooling cannot help.
     """
-    lo, hi = 1.5, max(50.0, 10.0 / p)
-    h = lambda k: optimality_residual(k, p)
-    step = 0.5
-    a, fa = lo, h(lo)
-    b = a + step
-    while b <= hi:
-        fb = h(b)
-        if fa * fb <= 0:
-            return solve_root(h, a, b, tol=tol)
-        a, fa, b = b, fb, b + step
-    raise ValueError(f"no interior optimum found on [{lo}, {hi}] for p={p}")
+    if not 0.0 < p < 1.0:
+        raise ValueError("prevalence must lie strictly in (0, 1)")
+    if not pooling_helps(p):
+        return None
+    return solve_root(lambda k: optimality_residual(k, p), 1.5, 1.0 / p, tol=tol)
 
 
 def optimal_pool_size_integer(
@@ -141,26 +150,32 @@ def simulate_pooling(
     n_reps: int,
     root_seed: int,
     experiment_id: str = "pooling",
-    n_workers: int = 1,
 ) -> PoolingCost:
     """Monte Carlo estimate of the total test count for a pooling design.
 
     Per replicate: N Bernoulli(p) disease statuses, partitioned into n pools
-    of k; total tests = n + k * (number of positive pools).
+    of k; total tests = n + k * (number of positive pools).  Replicate ``i``
+    takes its statuses from the first N draws of its private substream
+    ``(root_seed, experiment_id, i)``, as ``bernoullis`` would, and replicates
+    are computed in blocks (``simkit.run_replicates_batched``).
     """
     k, n, p = design.k, design.n, design.p
 
-    def one_replicate(stream: simkit.RngStream, i: int) -> float:
-        # person j is positive when their uniform is below p (as in
-        # bernoullis) and sits in pool j // k; the sorted pool indices of the
-        # positives change value once per further positive pool
-        pools = np.flatnonzero(stream.raw(design.N) < p) // k
-        positive_pools = 1 + np.count_nonzero(np.diff(pools)) if pools.size else 0
-        return float(n + k * positive_pools)
+    def block_totals(block: np.ndarray) -> np.ndarray:
+        totals = np.empty(len(block))
+        for r, row in enumerate(block):
+            # person j is positive when their uniform is below p and sits in
+            # pool j // k; the sorted pool indices of the positives change
+            # value once per further positive pool
+            pools = np.flatnonzero(row < p) // k
+            positive_pools = 1 + np.count_nonzero(np.diff(pools)) if pools.size else 0
+            totals[r] = n + k * positive_pools
+        return totals
 
-    study = simkit.run_replicates(n_reps, experiment_id, root_seed, one_replicate,
-                                  n_workers=n_workers)
-    stats = study.summary["value"]
+    study = simkit.run_replicates_batched(
+        n_reps, experiment_id, root_seed, design.N, block_totals
+    )
+    stats = summarize(study.outputs["value"])
     analytic = expected_tests(k, n, p)
     return PoolingCost(
         expected_tests_analytic=analytic,

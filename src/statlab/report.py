@@ -28,7 +28,6 @@ class RunConfig:
     output_dir: Path = Path("statlab_out")
     emit_figures: bool = False
     options: dict = field(default_factory=dict)
-    n_workers: int = 1
 
 
 @dataclass
@@ -42,6 +41,8 @@ class ExperimentReport:
     summary: dict
     warnings: list[str] = field(default_factory=list)
 
+
+POOLING_DEFAULTS = {"p": 0.05, "N": 5000, "k_range": (2, 10)}
 
 # Rows formatted per write; bounds the cell strings held at once to about 1 MB.
 _CHUNK_ROWS = 4096
@@ -77,21 +78,26 @@ def write_table(path: Path, columns: dict[str, Sequence]) -> None:
 
 def run_pooling(config: RunConfig, out: Path):
     opts = config.options
-    p = float(opts.get("p", 0.05))
-    N = int(opts.get("N", 5000))
-    k_lo, k_hi = opts.get("k_range", (2, 10))
+    p = float(opts.get("p", POOLING_DEFAULTS["p"]))
+    N = int(opts.get("N", POOLING_DEFAULTS["N"]))
+    k_lo, k_hi = opts.get("k_range", POOLING_DEFAULTS["k_range"])
     n_reps = 1000 if config.n_reps is None else config.n_reps
 
     candidates = [k for k in range(int(k_lo), int(k_hi) + 1) if N % k == 0]
     best_k, best_cost = pooling.optimal_pool_size_integer(N, p, candidates)
     cont = pooling.optimal_pool_size_continuous(p)
     k_root = pooling.optimal_pool_size_root(p)
+    warnings = []
+    if not pooling.pooling_helps(p):
+        warnings.append(
+            f"pooling cannot beat individual testing at p={p} (it needs p < "
+            f"{pooling.POOLING_HELPS_BELOW:.4f}); test individually"
+        )
 
     costs = [
         pooling.simulate_pooling(
             pooling.PoolingDesign(N=N, k=k, n=N // k, p=p), n_reps,
             config.root_seed, experiment_id=f"pooling-k{k}",
-            n_workers=config.n_workers,
         )
         for k in candidates
     ]
@@ -130,12 +136,13 @@ def run_pooling(config: RunConfig, out: Path):
         "n_reps": n_reps,
         "best_integer_k": best_k,
         "best_integer_expected_tests": best_cost,
+        "pooling_helps": pooling.pooling_helps(p),
         "continuous_optimum_k": cont.k,
         "continuous_optimum_at_boundary": cont.at_boundary,
         "bisection_cross_check_k": k_root,
         "savings_ratio_at_best_k": pooling.savings_ratio(best_k, p),
     }
-    return tables, figs, summary, []
+    return tables, figs, summary, warnings
 
 
 def run_mh(config: RunConfig, out: Path):
@@ -209,8 +216,7 @@ def run_estimator(config: RunConfig, out: Path):
         true_sd=float(opts.get("sigma", math.pi)),
         n_reps=1000 if config.n_reps is None else config.n_reps,
     )
-    result = estimators.run_estimator_study(plan, config.root_seed,
-                                            n_workers=config.n_workers)
+    result = estimators.run_estimator_study(plan, config.root_seed)
 
     tables, figs = [], []
     t1 = out / "estimator_distributions.csv"
@@ -272,8 +278,7 @@ def run_gof(config: RunConfig, out: Path):
         sample_sizes=tuple(opts.get("sizes", (16, 64))),
         n_reps=10_000 if config.n_reps is None else config.n_reps,
     )
-    result = gof.simulate_uniform_gof(plan, config.root_seed,
-                                      n_workers=config.n_workers)
+    result = gof.simulate_uniform_gof(plan, config.root_seed)
 
     tables, figs = [], []
     t1 = out / "gof_statistics.csv"

@@ -1,21 +1,19 @@
-"""Reproducible random streams and replicated-experiment harnesses.
+"""Reproducible random streams and the replicate engine.
 
 Every simulation replicate owns a private substream keyed by
 (root_seed, experiment_id, replicate_index), so results are identical no
-matter how replicates are scheduled or batched, or how many workers run them.
+matter how replicates are batched.  The engine, ``run_replicates_batched``,
+runs its blocks serially, in replicate order.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 from scipy.special import ndtri
-
-from .numerics import SummaryStats, summarize
 
 
 def _philox_key(root_seed: int, experiment_id: str, replicate_index: int) -> int:
@@ -97,62 +95,8 @@ def make_stream(root_seed: int, experiment_id: str, replicate_index: int) -> Rng
 
 @dataclass(frozen=True)
 class StudyResult:
-    experiment_id: str
-    root_seed: int
     n_reps: int
     outputs: Mapping[str, np.ndarray]
-    summary: Mapping[str, SummaryStats] = field(default_factory=dict)
-
-
-class ReplicateError(RuntimeError):
-    def __init__(self, replicate_index: int, cause: BaseException):
-        super().__init__(f"replicate {replicate_index} failed: {cause!r}")
-        self.replicate_index = replicate_index
-
-
-def run_replicates(
-    n_reps: int,
-    experiment_id: str,
-    root_seed: int,
-    task: Callable[[RngStream, int], float | Mapping[str, float]],
-    n_workers: int = 1,
-) -> StudyResult:
-    """Run ``task`` once per replicate, each on its own stream.
-
-    ``task(stream, i)`` returns a scalar or a mapping of named scalars.
-    Outputs are assembled in replicate order, so the result is identical for
-    any ``n_workers``.
-    """
-    if n_reps < 1:
-        raise ValueError("n_reps must be >= 1")
-
-    def one(i: int):
-        try:
-            return task(make_stream(root_seed, experiment_id, i), i)
-        except Exception as exc:
-            raise ReplicateError(i, exc) from exc
-
-    if n_workers <= 1:
-        raws = [one(i) for i in range(n_reps)]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            raws = list(pool.map(one, range(n_reps)))
-
-    if isinstance(raws[0], Mapping):
-        outputs = {
-            name: np.array([r[name] for r in raws], dtype=float)
-            for name in raws[0]
-        }
-    else:
-        outputs = {"value": np.array(raws, dtype=float)}
-    summary = {name: summarize(vec) for name, vec in outputs.items()}
-    return StudyResult(
-        experiment_id=experiment_id,
-        root_seed=int(root_seed),
-        n_reps=n_reps,
-        outputs=outputs,
-        summary=summary,
-    )
 
 
 def run_replicates_batched(
@@ -174,8 +118,8 @@ def run_replicates_batched(
     Each row is drawn by re-keying one Philox generator to the replicate's key
     with its counter and buffer zeroed, which is how a fresh stream starts, so
     no per-replicate generator is built.  Blocks hold at most
-    ``_BLOCK_VALUES`` uniforms and are run in order, so the output does not
-    depend on the block size.  ``summary`` is left empty.
+    ``_BLOCK_VALUES`` uniforms (one row when a row alone is larger) and are run
+    serially, in order, so the output does not depend on the block size.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
@@ -210,8 +154,6 @@ def run_replicates_batched(
                 )
             parts.setdefault(name, []).append(values)
     return StudyResult(
-        experiment_id=experiment_id,
-        root_seed=int(root_seed),
         n_reps=n_reps,
         outputs={name: np.concatenate(vecs) for name, vecs in parts.items()},
     )

@@ -60,6 +60,15 @@ class TestParseConfig:
         (["mh", "--burn-in", "-1"], "--burn-in"),
         (["gof", "--reps", "0"], "--reps"),
         (["pooling", "--reps", "-1"], "--reps"),
+        (["estimator", "--reps", "1"], "--reps"),
+        (["all", "--reps", "1"], "--reps"),
+        (["estimator", "--sigma", "0"], "--sigma"),
+        (["estimator", "--sigma", "nan"], "--sigma"),
+        (["estimator", "--sigma", "inf"], "--sigma"),
+        (["estimator", "--sizes", "3"], "--sizes"),
+        (["pooling", "--k-range", "7:7"], "--k-range"),
+        (["pooling", "--k-range", "10:2"], "--k-range"),
+        (["pooling", "--N", "97"], "--N"),
     ])
     def test_invalid_option_is_usage_error(self, argv, flag, tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path)]) == 2
@@ -86,6 +95,34 @@ class TestParseConfig:
         cfg = tmp_path / "conf.json"
         cfg.write_text(json.dumps({"proposal_sd": "wide"}))
         assert main(["mh", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("values, key", [
+        ({"burn_in": 1.5, "samples": 1000}, "burn_in"),
+        ({"samples": True}, "samples"),
+        ({"seed": "7"}, "seed"),
+        ({"reps": 10.0}, "reps"),
+        ({"workers": None}, "workers"),
+        ({"sizes": [16, 6.4]}, "sizes"),
+        ({"k_range": 2}, "k_range"),
+        ({"proposal": 1.0}, "proposal"),
+    ])
+    def test_bad_config_file_key_is_usage_error(self, values, key, tmp_path,
+                                                capsys):
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        assert main(["mh", "--config", str(cfg), "--out", str(out)]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_may_carry_other_subcommands_keys(self, tmp_path):
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps({"p": 0.1, "bins": 4, "samples": 10,
+                                   "workers": 2, "k_range": [2, 5]}))
+        config = parse_config(["gof", "--config", str(cfg)])
+        assert config.options == {"bins": 4}
+        config = parse_config(["all", "--config", str(cfg)])
+        assert config.options == {}
 
     def test_range_and_sizes_parsing(self):
         config = parse_config(["pooling", "--k-range", "2:10"])
@@ -120,6 +157,19 @@ class TestRunAndReport:
         assert summary["summary"]["best_integer_k"] == 5
         svg = (tmp_path / "pooling_cost_curve.svg").read_text()
         assert svg.startswith("<?xml") and "<metadata>" in svg
+
+    def test_pooling_that_cannot_help_is_flagged(self, tmp_path, capsys):
+        code = main(["pooling", "--p", "0.5", "--reps", "20",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        doc = json.loads((tmp_path / "pooling_summary.json").read_text())
+        summary = doc["summary"]
+        assert summary["pooling_helps"] is False
+        assert summary["continuous_optimum_k"] is None
+        assert summary["bisection_cross_check_k"] is None
+        assert summary["continuous_optimum_at_boundary"] is True
+        assert any("test individually" in w for w in doc["warnings"])
+        assert "test individually" in capsys.readouterr().err
 
     def test_short_chain_flagged(self, tmp_path, capsys):
         code = main(

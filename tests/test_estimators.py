@@ -150,7 +150,7 @@ class TestStudy:
         if block_values is not None:
             monkeypatch.setattr(simkit, "_BLOCK_VALUES", block_values)
         plan = EstimatorStudyPlan(sample_sizes=(37, 100), true_sd=0.5, n_reps=250)
-        res = run_estimator_study(plan, root_seed=17, n_workers=3)
+        res = run_estimator_study(plan, root_seed=17)
         for n in plan.sample_sizes:
             for i in range(plan.n_reps):
                 draws = simkit.make_stream(17, f"estimator-n{n}", i).normals(

@@ -114,12 +114,12 @@ class TestSimulate:
     @pytest.mark.parametrize("bins, sizes", [(8, (16, 64)), (5, (5, 25))])
     def test_matches_per_replicate_definition(self, bins, sizes, monkeypatch):
         # batching changes no number: every statistic is the one replicate i
-        # gets from its own stream, for any block size and worker count
+        # gets from its own stream, for any block size
         plan = GofPlan(bins=bins, sample_sizes=sizes, n_reps=500)
         serial = simulate_uniform_gof(plan, root_seed=11)
         # small blocks, none of whose sizes divides n_reps
         monkeypatch.setattr(simkit, "_BLOCK_VALUES", 1000)
-        blocked = simulate_uniform_gof(plan, root_seed=11, n_workers=3)
+        blocked = simulate_uniform_gof(plan, root_seed=11)
         for n in sizes:
             assert plan.n_reps % (1000 // n) != 0
             expected = np.full(bins, n / bins)

@@ -3,6 +3,7 @@ import pytest
 
 from statlab import simkit
 from statlab.pooling import (
+    POOLING_HELPS_BELOW,
     ContinuousOptimum,
     PoolingDesign,
     cost_curve,
@@ -10,6 +11,7 @@ from statlab.pooling import (
     optimal_pool_size_continuous,
     optimal_pool_size_integer,
     optimal_pool_size_root,
+    pooling_helps,
     savings_ratio,
     simulate_pooling,
     expected_tests_per_person,
@@ -71,6 +73,31 @@ class TestContinuousOptimum:
         ks = np.linspace(2, 10, 100)
         assert all(expected_tests_per_person(k, 0.5) > 1.0 for k in ks)
 
+    def test_helps_below_dorfman_threshold(self):
+        # golden section and bisection agree on an interior optimum that beats
+        # individual testing exactly while p < 1 - e^(-1/e); above it neither
+        # track reports a pool size
+        assert POOLING_HELPS_BELOW == pytest.approx(0.30780, abs=1e-5)
+        ks = np.linspace(1.5, 20, 4001)
+        for p in np.linspace(0.0, 1.0, 400)[1:-1]:
+            opt = optimal_pool_size_continuous(p)
+            root = optimal_pool_size_root(p)
+            if p < POOLING_HELPS_BELOW:
+                assert pooling_helps(p)
+                assert abs(opt.k - root) < 1e-4
+                assert not opt.at_boundary
+                assert opt.expected_tests_per_person < 1.0
+            else:
+                assert not pooling_helps(p)
+                assert opt.k is None and root is None
+                assert opt.at_boundary
+                assert opt.expected_tests_per_person == 1.0
+                assert np.all(expected_tests_per_person(ks, p) >= 1.0)
+
+    def test_no_false_boundary_at_low_prevalence(self):
+        for p in np.linspace(0.0, 0.0125, 200)[1:]:
+            assert not optimal_pool_size_continuous(p).at_boundary
+
     def test_independent_of_population_size(self):
         # k* depends on p only; the minimizer of E[T] over a k-grid must
         # agree for very different populations
@@ -129,6 +156,21 @@ class TestSavingsRatio:
             )
 
 
+def _replicate_totals(design, n_reps, seed, experiment_id, monkeypatch):
+    """Per-replicate totals of simulate_pooling, as the replicate engine
+    returned them."""
+    studies = []
+    run = simkit.run_replicates_batched
+
+    def recording(*args, **kwargs):
+        studies.append(run(*args, **kwargs))
+        return studies[-1]
+
+    monkeypatch.setattr(simkit, "run_replicates_batched", recording)
+    simulate_pooling(design, n_reps, seed, experiment_id=experiment_id)
+    return studies[0].outputs["value"]
+
+
 class TestSimulatePooling:
     def test_agrees_with_analytic(self):
         design = PoolingDesign(N=5000, k=10, n=500, p=0.05)
@@ -164,17 +206,11 @@ class TestSimulatePooling:
         theory = k * k * n * q * (1.0 - q)
         assert cost.simulated_sd**2 == pytest.approx(theory, rel=0.15)
 
-    def test_replicate_totals_within_bounds(self):
+    def test_replicate_totals_within_bounds(self, monkeypatch):
         design = PoolingDesign(N=60, k=6, n=10, p=0.4)
-
-        def total(stream, i):
-            statuses = stream.bernoullis(60, 0.4)
-            pos = int(np.any(statuses.reshape(10, 6), axis=1).sum())
-            return float(10 + 6 * pos)
-
-        res = simkit.run_replicates(500, "bounds", 3, total)
-        assert np.all(res.outputs["value"] >= 10)
-        assert np.all(res.outputs["value"] <= 70)
+        totals = _replicate_totals(design, 500, 3, "bounds", monkeypatch)
+        assert np.all(totals >= 10)
+        assert np.all(totals <= 70)
 
     @pytest.mark.parametrize("k", [2, 3, 10])
     @pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 1.0])
@@ -188,17 +224,11 @@ class TestSimulatePooling:
             pos = np.any(statuses.reshape(design.n, k), axis=1).sum()
             return float(design.n + k * pos)
 
-        expected = simkit.run_replicates(300, "count", 9, by_any).outputs["value"]
-        studies = []
-        run = simkit.run_replicates
-
-        def recording(*args, **kwargs):
-            studies.append(run(*args, **kwargs))
-            return studies[-1]
-
-        monkeypatch.setattr(simkit, "run_replicates", recording)
-        simulate_pooling(design, 300, 9, experiment_id="count")
-        assert np.array_equal(studies[0].outputs["value"], expected)
+        expected = np.array(
+            [by_any(simkit.make_stream(9, "count", i), i) for i in range(300)]
+        )
+        totals = _replicate_totals(design, 300, 9, "count", monkeypatch)
+        assert np.array_equal(totals, expected)
 
     def test_design_validation(self):
         with pytest.raises(ValueError):

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from statlab import simkit
-from statlab.simkit import (
-    ReplicateError,
-    make_stream,
-    run_replicates,
-    run_replicates_batched,
-)
+from statlab.simkit import make_stream, run_replicates_batched
 
 
 class TestStreams:
@@ -77,46 +72,6 @@ class TestDraws:
         )
         corr = np.corrcoef(firsts[:-1], firsts[1:])[0, 1]
         assert abs(corr) < 0.03
-
-
-class TestRunReplicates:
-    def test_task_sees_its_index(self):
-        res = run_replicates(3, "idx", 0, lambda stream, i: float(i))
-        assert res.outputs["value"].tolist() == [0.0, 1.0, 2.0]
-
-    def test_repeat_call_bit_identical(self):
-        task = lambda stream, i: stream.normal()
-        a = run_replicates(50, "rep", 9, task)
-        b = run_replicates(50, "rep", 9, task)
-        assert np.array_equal(a.outputs["value"], b.outputs["value"])
-        assert a.summary["value"] == b.summary["value"]
-
-    def test_worker_count_does_not_change_outputs(self):
-        task = lambda stream, i: stream.normal()
-        serial = run_replicates(200, "par", 13, task, n_workers=1)
-        threaded = run_replicates(200, "par", 13, task, n_workers=8)
-        assert np.array_equal(serial.outputs["value"], threaded.outputs["value"])
-
-    def test_named_channels(self):
-        task = lambda stream, i: {"a": float(i), "b": -float(i)}
-        res = run_replicates(4, "chan", 0, task)
-        assert res.outputs["a"].tolist() == [0.0, 1.0, 2.0, 3.0]
-        assert res.outputs["b"][3] == -3.0
-        assert res.summary["a"].n == 4
-
-    def test_failure_reports_replicate_index(self):
-        def task(stream, i):
-            if i == 2:
-                raise RuntimeError("boom")
-            return 0.0
-
-        with pytest.raises(ReplicateError) as excinfo:
-            run_replicates(5, "fail", 0, task)
-        assert excinfo.value.replicate_index == 2
-
-    def test_zero_reps_rejected(self):
-        with pytest.raises(ValueError):
-            run_replicates(0, "none", 0, lambda s, i: 0.0)
 
 
 def _blocks(n_reps, n_draws):
