@@ -51,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", type=Path, default=None,
                         help="JSON config file with defaults for any flag")
     common.add_argument("--workers", type=int, default=None,
-                        help="accepted and ignored: replicates always run "
-                        "serially, in replicate order")
+                        help="accepted and ignored: the replicate engine "
+                        "picks its own threads, and no output depends on them")
 
     p = sub.add_parser("pooling", parents=[common],
                        help="pooled blood testing costs and optimal pool size")

@@ -92,8 +92,8 @@ def run_estimator_study(
         study = simkit.run_replicates_batched(
             plan.n_reps, f"estimator-n{n}", root_seed, n, block_estimates
         )
-        distributions[("iqr", n)] = study.outputs["iqr"]
-        distributions[("s", n)] = study.outputs["s"]
+        distributions[("iqr", n)] = study["iqr"]
+        distributions[("s", n)] = study["s"]
     summaries = {key: summarize(vec) for key, vec in distributions.items()}
     return EstimatorStudyResult(
         plan=plan,

@@ -101,7 +101,7 @@ def simulate_uniform_gof(plan: GofPlan, root_seed: int) -> GofResult:
         study = simkit.run_replicates_batched(
             plan.n_reps, f"gof-n{n}", root_seed, n, block_statistics
         )
-        statistics[n] = study.outputs["value"]
+        statistics[n] = study["value"]
     means = {n: float(v.mean()) for n, v in statistics.items()}
     return GofResult(
         plan=plan,

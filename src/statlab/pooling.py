@@ -82,13 +82,11 @@ def pooling_helps(p: float) -> bool:
 def optimal_pool_size_continuous(p: float, tol: float = 1e-6) -> ContinuousOptimum:
     """Continuous pool size minimizing expected tests per person.
 
-    The population size cancels, so the objective is c(k) = 1/k + 1 - (1-p)^k.
-    While pooling helps, the optimality residual changes sign exactly once on
-    [1.5, 1/p] (cost falling, then rising), so c is unimodal there and the
-    golden-section search runs on it.  Where pooling cannot beat individual
-    testing there is no pool size: ``k`` is None, the cost is one test per
-    person and ``at_boundary`` is set, as it is if the search ever ends on its
-    bracket's edge.
+    The population size cancels, so the objective is c(k) = 1/k + 1 - (1-p)^k,
+    which is unimodal on the search bracket [1.5, 1/p] while pooling helps.
+    Where it cannot, there is no pool size: ``k`` is None, the cost is one
+    test per person and ``at_boundary`` is set, as it is if the search ends on
+    the bracket's edge.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("prevalence must lie strictly in (0, 1)")
@@ -155,9 +153,8 @@ def simulate_pooling(
 
     Per replicate: N Bernoulli(p) disease statuses, partitioned into n pools
     of k; total tests = n + k * (number of positive pools).  Replicate ``i``
-    takes its statuses from the first N draws of its private substream
-    ``(root_seed, experiment_id, i)``, as ``bernoullis`` would, and replicates
-    are computed in blocks (``simkit.run_replicates_batched``).
+    draws its statuses, as ``bernoullis`` would, from its private substream
+    ``(root_seed, experiment_id, i)`` on ``simkit.run_replicates_batched``.
     """
     k, n, p = design.k, design.n, design.p
 
@@ -175,7 +172,7 @@ def simulate_pooling(
     study = simkit.run_replicates_batched(
         n_reps, experiment_id, root_seed, design.N, block_totals
     )
-    stats = summarize(study.outputs["value"])
+    stats = summarize(study["value"])
     analytic = expected_tests(k, n, p)
     return PoolingCost(
         expected_tests_analytic=analytic,

@@ -2,14 +2,15 @@
 
 Every simulation replicate owns a private substream keyed by
 (root_seed, experiment_id, replicate_index), so results are identical no
-matter how replicates are batched.  The engine, ``run_replicates_batched``,
-runs its blocks serially, in replicate order.
+matter how replicates are batched or which thread runs them.  The replicate
+engine is ``run_replicates_batched``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Mapping
 
 import numpy as np
@@ -93,67 +94,70 @@ def make_stream(root_seed: int, experiment_id: str, replicate_index: int) -> Rng
     return RngStream(root_seed, experiment_id, replicate_index)
 
 
-@dataclass(frozen=True)
-class StudyResult:
-    n_reps: int
-    outputs: Mapping[str, np.ndarray]
-
-
 def run_replicates_batched(
     n_reps: int,
     experiment_id: str,
     root_seed: int,
     n_draws: int,
     task: Callable[[np.ndarray], np.ndarray | Mapping[str, np.ndarray]],
-) -> StudyResult:
+) -> dict[str, np.ndarray]:
     """Run ``task`` once per block of replicates, on their streams' first draws.
 
     ``task(block)`` gets a ``(reps, n_draws)`` array of uniforms on [0, 1)
     whose rows are consecutive replicates' private substreams: row ``i`` of
     the blocks taken in order is, bit for bit,
     ``make_stream(root_seed, experiment_id, i).raw(n_draws)``.  It returns one
-    value per row, collected under ``outputs["value"]``, or a mapping of named
-    arrays of one value per row, collected under their names.
+    value per row, or a mapping of named arrays of one value per row.  The
+    result maps each name (``"value"`` for a plain array) to the values of all
+    replicates, in replicate order.
 
-    Each row is drawn by re-keying one Philox generator to the replicate's key
+    Each row is drawn by re-keying a Philox generator to the replicate's key
     with its counter and buffer zeroed, which is how a fresh stream starts, so
     no per-replicate generator is built.  Blocks hold at most
-    ``_BLOCK_VALUES`` uniforms (one row when a row alone is larger) and are run
-    serially, in order, so the output does not depend on the block size.
+    ``_BLOCK_VALUES`` uniforms, or one row when a row alone is larger.  Such
+    blocks spend most of their time drawing, which numpy does with the GIL
+    released, so two threads run them, each re-keying its own generator, and
+    ``task`` must be safe to call from both at once; smaller blocks run
+    serially.  The output depends on neither the block size nor the threads.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     size = max(1, _BLOCK_VALUES // n_draws)
-    bitgen = np.random.Philox(key=0)
-    gen = np.random.Generator(bitgen)
-    fresh = bitgen.state
-    parts: dict[str, list[np.ndarray]] = {}
-    for start in range(0, n_reps, size):
+    local = threading.local()
+
+    def run_block(start: int):
+        if not hasattr(local, "bitgen"):  # a re-keyed Philox is single-owner
+            local.bitgen = np.random.Philox(key=0)
+            local.gen = np.random.Generator(local.bitgen)
+            local.fresh = local.bitgen.state
         block = np.empty((min(size, n_reps - start), n_draws))
         for r in range(len(block)):
             key = _philox_key(root_seed, experiment_id, start + r)
-            fresh["state"]["key"] = (key & _WORD, key >> 64)
-            bitgen.state = fresh
-            gen.random(out=block[r])
-        out = task(block)
-        if not isinstance(out, Mapping):
-            out = {"value": out}
-        if parts and out.keys() != parts.keys():
-            raise ValueError(
-                f"task outputs {sorted(out)} differ from the first block's "
-                f"{sorted(parts)}"
-            )
-        for name, values in out.items():
-            values = np.asarray(values, dtype=float)
-            if values.shape != (len(block),):
+            local.fresh["state"]["key"] = (key & _WORD, key >> 64)
+            local.bitgen.state = local.fresh
+            local.gen.random(out=block[r])
+        return len(block), task(block)
+
+    parts: dict[str, list[np.ndarray]] = {}
+    starts = range(0, n_reps, size)
+    with ThreadPoolExecutor(2) as pool:
+        blocks = pool.map(run_block, starts) if size == 1 else map(run_block, starts)
+        for rows, out in blocks:
+            if not isinstance(out, Mapping):
+                out = {"value": out}
+            if parts and out.keys() != parts.keys():
                 raise ValueError(
-                    f"task output {name!r} has shape {values.shape}, "
-                    f"expected ({len(block)},)"
+                    f"task outputs {sorted(out)} differ from the first block's "
+                    f"{sorted(parts)}"
                 )
-            parts.setdefault(name, []).append(values)
-    return StudyResult(
-        n_reps=n_reps,
-        outputs={name: np.concatenate(vecs) for name, vecs in parts.items()},
-    )
+            for name, values in out.items():
+                values = np.asarray(values, dtype=float)
+                if values.shape != (rows,):
+                    raise ValueError(
+                        f"task output {name!r} has shape {values.shape}, "
+                        f"expected ({rows},)"
+                    )
+                parts.setdefault(name, []).append(values)
+    return {name: np.concatenate(vecs) for name, vecs in parts.items()}

@@ -36,13 +36,20 @@ DEFAULT_TABLES = {
 }
 
 # (flags, pooling tables) for non-default pooling runs.  N = 60 puts many
-# replicates in one block of draws; the worker count must change nothing.
+# replicates in one block of draws, N = 16400 one replicate per block, drawn
+# on two threads; the worker count must change nothing.
 POOLING_RUNS = [
     (["--N", "60", "--k-range", "2:6", "--p", "0.2", "--reps", "3000"], {
         "pooling_candidates.csv":
             "88fcca8297bf3cd17a68bfe4f21462ee6f717acc591ee3ae7bc20ca89881dae2",
         "pooling_cost_curve.csv":
             "3084cec2a4f3a554665383acb8f9294281b110978564ead2c3243c7502a1a35d",
+    }),
+    (["--N", "16400", "--k-range", "2:5", "--reps", "50"], {
+        "pooling_candidates.csv":
+            "72c41550b434f23fd798ac95dde598486e57632b7741cc0b29dbe36b6eb42e8c",
+        "pooling_cost_curve.csv":
+            "bb97afd3988ceeb910a1ce487dbaaba1af02a28bd4b6d41ffcd0400dccda7386",
     }),
     (["--workers", "2"], DEFAULT_TABLES["pooling"]),
 ]

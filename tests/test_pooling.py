@@ -168,7 +168,7 @@ def _replicate_totals(design, n_reps, seed, experiment_id, monkeypatch):
 
     monkeypatch.setattr(simkit, "run_replicates_batched", recording)
     simulate_pooling(design, n_reps, seed, experiment_id=experiment_id)
-    return studies[0].outputs["value"]
+    return studies[0]["value"]
 
 
 class TestSimulatePooling:

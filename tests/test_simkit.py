@@ -115,11 +115,23 @@ class TestRunReplicatesBatched:
             assert max(b.size for b in seen) <= max(n_draws, simkit._BLOCK_VALUES)
             assert sum(len(b) for b in seen) == 40
 
+    def test_one_row_blocks_on_two_threads(self, monkeypatch):
+        # rows wider than a block run one per block on two threads, each with
+        # its own generator; outputs still come back in replicate order
+        monkeypatch.setattr(simkit, "_BLOCK_VALUES", 8)
+        res = run_replicates_batched(
+            300, "wide", 4, 9,
+            lambda block: {"first": block[:, 0], "last": block[:, -1]},
+        )
+        for i in range(300):
+            row = make_stream(4, "wide", i).raw(9)
+            assert res["first"][i] == row[0]
+            assert res["last"][i] == row[-1]
+
     def test_outputs_in_replicate_order(self, monkeypatch):
         monkeypatch.setattr(simkit, "_BLOCK_VALUES", 8 * 4)
         res = run_replicates_batched(50, "ord", 3, 4, lambda block: block[:, 0])
-        assert res.n_reps == 50
-        assert res.outputs["value"].tolist() == [
+        assert res["value"].tolist() == [
             make_stream(3, "ord", i).raw(1)[0] for i in range(50)
         ]
 
@@ -129,11 +141,11 @@ class TestRunReplicatesBatched:
             10, "named", 5, 3,
             lambda block: {"first": block[:, 0], "last": block[:, -1]},
         )
-        assert list(res.outputs) == ["first", "last"]
+        assert list(res) == ["first", "last"]
         for i in range(10):
             row = make_stream(5, "named", i).raw(3)
-            assert res.outputs["first"][i] == row[0]
-            assert res.outputs["last"][i] == row[-1]
+            assert res["first"][i] == row[0]
+            assert res["last"][i] == row[-1]
 
     def test_named_output_checks(self, monkeypatch):
         with pytest.raises(ValueError, match="'b' has shape"):
