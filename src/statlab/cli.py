@@ -150,11 +150,10 @@ def _check_options(parser: argparse.ArgumentParser, subcommand: str,
                 parser.error(f"--sizes: sample size {n} is not a positive "
                              f"multiple of --bins {bins}")
     if subcommand == "estimator":
-        plan = estimators.EstimatorStudyPlan
-        sigma = options.get("sigma", plan.true_sd)
+        sigma = options.get("sigma", estimators.EstimatorStudyPlan.true_sd)
         if not (math.isfinite(sigma) and sigma > 0):
             parser.error(f"--sigma must be positive and finite, got {sigma}")
-        for n in options.get("sizes", plan.sample_sizes):
+        for n in options.get("sizes", estimators.EstimatorStudyPlan.sample_sizes):
             if n < 4:
                 parser.error(f"--sizes: sample size {n} is below 4")
 

@@ -2,8 +2,7 @@
 
 Every simulation replicate owns a private substream keyed by
 (root_seed, experiment_id, replicate_index), so results are identical no
-matter how replicates are batched or which thread runs them.  The replicate
-engine is ``run_replicates_batched``.
+matter how replicates are batched or which thread runs them.
 """
 
 from __future__ import annotations
@@ -128,21 +127,21 @@ def run_replicates_batched(
     local = threading.local()
 
     def run_block(start: int):
-        if not hasattr(local, "bitgen"):  # a re-keyed Philox is single-owner
-            local.bitgen = np.random.Philox(key=0)
-            local.gen = np.random.Generator(local.bitgen)
-            local.fresh = local.bitgen.state
+        if not hasattr(local, "gen"):  # a re-keyed Philox is single-owner
+            local.gen = np.random.Generator(np.random.Philox(key=0))
+            local.fresh = local.gen.bit_generator.state
         block = np.empty((min(size, n_reps - start), n_draws))
         for r in range(len(block)):
             key = _philox_key(root_seed, experiment_id, start + r)
             local.fresh["state"]["key"] = (key & _WORD, key >> 64)
-            local.bitgen.state = local.fresh
+            local.gen.bit_generator.state = local.fresh
             local.gen.random(out=block[r])
         return len(block), task(block)
 
     parts: dict[str, list[np.ndarray]] = {}
     starts = range(0, n_reps, size)
-    with ThreadPoolExecutor(2) as pool:
+    pool = ThreadPoolExecutor(2)
+    try:
         blocks = pool.map(run_block, starts) if size == 1 else map(run_block, starts)
         for rows, out in blocks:
             if not isinstance(out, Mapping):
@@ -160,4 +159,6 @@ def run_replicates_batched(
                         f"expected ({rows},)"
                     )
                 parts.setdefault(name, []).append(values)
+    finally:
+        pool.shutdown(cancel_futures=True)  # after an error, skip queued blocks
     return {name: np.concatenate(vecs) for name, vecs in parts.items()}
