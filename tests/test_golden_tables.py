@@ -37,7 +37,9 @@ DEFAULT_TABLES = {
 
 # (flags, pooling tables) for non-default pooling runs.  N = 60 puts many
 # replicates in one block of draws, N = 16400 one replicate per block, drawn
-# on two threads; the worker count must change nothing.
+# on two threads.  150 such rows are more than two runs of 64 and not a
+# multiple of 64, so however the rows are handed out, both threads take
+# several and one takes a short tail.  The worker count must change nothing.
 POOLING_RUNS = [
     (["--N", "60", "--k-range", "2:6", "--p", "0.2", "--reps", "3000"], {
         "pooling_candidates.csv":
@@ -52,6 +54,12 @@ POOLING_RUNS = [
             "bb97afd3988ceeb910a1ce487dbaaba1af02a28bd4b6d41ffcd0400dccda7386",
     }),
     (["--workers", "2"], DEFAULT_TABLES["pooling"]),
+    (["--N", "16400", "--k-range", "2:5", "--reps", "150"], {
+        "pooling_candidates.csv":
+            "f369b9e241d35e389439121ed3478d4d65834a85fef89b8748a2f67d481cff47",
+        "pooling_cost_curve.csv":
+            "bb97afd3988ceeb910a1ce487dbaaba1af02a28bd4b6d41ffcd0400dccda7386",
+    }),
 ]
 
 # mh_true_density.csv depends on no chain setting, so one digest covers all.
