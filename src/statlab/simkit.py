@@ -8,6 +8,7 @@ matter how replicates are batched or which thread runs them.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Mapping
@@ -32,6 +33,10 @@ _WORD = (1 << 64) - 1  # Philox takes its 128-bit key as two little-endian words
 # The most uniforms one block of a batched task may hold (a 128 KiB float64
 # block), so memory stays bounded.
 _BLOCK_VALUES = 1 << 14
+# Consecutive rows one thread draws per pool task when a row is wider than a
+# block: enough that handing out tasks costs little next to drawing, few
+# enough that the two threads finish close together.
+_RUN_ROWS = 64
 
 
 class RngStream:
@@ -113,11 +118,15 @@ def run_replicates_batched(
     Each row is drawn by re-keying a Philox generator to the replicate's key
     with its counter and buffer zeroed, which is how a fresh stream starts, so
     no per-replicate generator is built.  Blocks hold at most
-    ``_BLOCK_VALUES`` uniforms, or one row when a row alone is larger.  Such
-    blocks spend most of their time drawing, which numpy does with the GIL
-    released, so two threads run them, each re-keying its own generator, and
-    ``task`` must be safe to call from both at once; smaller blocks run
-    serially.  The output depends on neither the block size nor the threads.
+    ``_BLOCK_VALUES`` uniforms and run serially.  A row alone larger than that
+    is a block of one row, and such rows spend most of their time drawing,
+    which numpy does with the GIL released, so two threads run them: each
+    takes runs of ``_RUN_ROWS`` consecutive replicates and draws every row of
+    a run into the one ``(1, n_draws)`` row it keeps, with its own generator.
+    The row is overwritten by the next draw, so each output is copied out
+    first, and ``task`` must be safe to call from both threads at once.  After
+    an error, no run still queued starts.  The output depends on neither the
+    block size, the run length nor the threads.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
@@ -125,24 +134,52 @@ def run_replicates_batched(
         raise ValueError("n_draws must be >= 1")
     size = max(1, _BLOCK_VALUES // n_draws)
     local = threading.local()
+    failed = threading.Event()
 
-    def run_block(start: int):
+    def fill(block: np.ndarray, start: int) -> None:
+        """Draw replicates ``start``, ``start + 1``, ... into block's rows."""
         if not hasattr(local, "gen"):  # a re-keyed Philox is single-owner
             local.gen = np.random.Generator(np.random.Philox(key=0))
             local.fresh = local.gen.bit_generator.state
-        block = np.empty((min(size, n_reps - start), n_draws))
         for r in range(len(block)):
             key = _philox_key(root_seed, experiment_id, start + r)
             local.fresh["state"]["key"] = (key & _WORD, key >> 64)
             local.gen.bit_generator.state = local.fresh
             local.gen.random(out=block[r])
+
+    def run_block(start: int):
+        block = np.empty((min(size, n_reps - start), n_draws))
+        fill(block, start)
         return len(block), task(block)
 
+    def run_rows(start: int):
+        outs = []
+        if failed.is_set():  # an earlier run failed; the caller never reads this
+            return outs
+        if not hasattr(local, "row"):
+            local.row = np.empty((1, n_draws))
+        try:
+            for i in range(start, min(start + _RUN_ROWS, n_reps)):
+                fill(local.row, i)
+                out = task(local.row)
+                if isinstance(out, Mapping):
+                    out = {name: np.array(v, dtype=float) for name, v in out.items()}
+                else:
+                    out = np.array(out, dtype=float)
+                outs.append((1, out))
+        except BaseException:
+            failed.set()
+            raise
+        return outs
+
     parts: dict[str, list[np.ndarray]] = {}
-    starts = range(0, n_reps, size)
     pool = ThreadPoolExecutor(2)
     try:
-        blocks = pool.map(run_block, starts) if size == 1 else map(run_block, starts)
+        if size > 1:
+            blocks = map(run_block, range(0, n_reps, size))
+        else:
+            runs = pool.map(run_rows, range(0, n_reps, _RUN_ROWS))
+            blocks = itertools.chain.from_iterable(runs)
         for rows, out in blocks:
             if not isinstance(out, Mapping):
                 out = {"value": out}
@@ -160,5 +197,6 @@ def run_replicates_batched(
                     )
                 parts.setdefault(name, []).append(values)
     finally:
-        pool.shutdown(cancel_futures=True)  # after an error, skip queued blocks
+        failed.set()
+        pool.shutdown(cancel_futures=True)  # after an error, skip queued runs
     return {name: np.concatenate(vecs) for name, vecs in parts.items()}

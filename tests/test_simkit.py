@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 
@@ -127,6 +130,46 @@ class TestRunReplicatesBatched:
             row = make_stream(4, "wide", i).raw(9)
             assert res["first"][i] == row[0]
             assert res["last"][i] == row[-1]
+
+    @pytest.mark.parametrize("run_rows", [1, 3, 64])
+    def test_run_length_does_not_change_rows(self, run_rows, monkeypatch):
+        # wide rows go to the threads in runs of consecutive replicates, each
+        # thread drawing them into the one row it reuses; 150 rows end partway
+        # through a run of every length tried
+        monkeypatch.setattr(simkit, "_BLOCK_VALUES", 8)
+        monkeypatch.setattr(simkit, "_RUN_ROWS", run_rows)
+        named = run_replicates_batched(
+            150, "runs", 6, 9,
+            lambda block: {"first": block[:, 0], "last": block[:, -1]},
+        )
+        plain = run_replicates_batched(150, "runs", 6, 9, lambda block: block[:, 1])
+        for i in range(150):
+            row = make_stream(6, "runs", i).raw(9)
+            assert named["first"][i] == row[0]
+            assert named["last"][i] == row[-1]
+            assert plain["value"][i] == row[1]
+
+    def test_wide_row_error_skips_queued_runs(self, monkeypatch):
+        # run 0 holds its first row, so the main thread is still waiting on
+        # it when run 1 fails on the other thread; that thread must then start
+        # no queued run, and only run 0 goes on to its end
+        monkeypatch.setattr(simkit, "_BLOCK_VALUES", 8)
+        monkeypatch.setattr(simkit, "_RUN_ROWS", 4)
+        replicate_of = {make_stream(0, "fail", i).raw(9)[0]: i for i in range(8)}
+        calls = itertools.count(1)  # next() on a count is atomic under the GIL
+
+        def task(block):
+            next(calls)
+            i = replicate_of.get(block[0, 0])
+            if i == 0:
+                time.sleep(0.1)
+            if i == 4:
+                raise RuntimeError("run 1 failed")
+            return block[:, 0]
+
+        with pytest.raises(RuntimeError, match="run 1 failed"):
+            run_replicates_batched(400, "fail", 0, 9, task)
+        assert next(calls) - 1 == 4 + 1
 
     def test_outputs_in_replicate_order(self, monkeypatch):
         monkeypatch.setattr(simkit, "_BLOCK_VALUES", 8 * 4)
