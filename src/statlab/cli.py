@@ -95,11 +95,14 @@ _COMMON_KEYS = ("seed", "reps", "out", "figures", "workers")
 _INT_KEYS = ("seed", "reps", "N", "burn_in", "samples", "bins", "workers",
              "sizes", "k_range")
 _LIST_KEYS = ("sizes", "k_range")
+# config-file keys that take a number, integer or not
+_FLOAT_KEYS = ("p", "sigma", "proposal_sd")
 
 
 def _check_file_values(parser: argparse.ArgumentParser, values) -> None:
-    """Reject config-file keys that no subcommand knows, and integer keys
-    given anything but integers (bools included), as usage errors (exit 2)."""
+    """Reject config-file keys that no subcommand knows, integer keys given
+    anything but integers and number keys given anything but numbers (bools
+    included in both), as usage errors (exit 2)."""
     if not isinstance(values, dict):
         parser.error("config file must hold a JSON object")
     known = set(_COMMON_KEYS).union(*_OPTION_KEYS.values())
@@ -111,6 +114,8 @@ def _check_file_values(parser: argparse.ArgumentParser, values) -> None:
                 type(items) is list and items and all(type(v) is int for v in items)):
             kind = "a list of integers" if key in _LIST_KEYS else "an integer"
             parser.error(f"config file: {key!r} must be {kind}, got {value!r}")
+        if key in _FLOAT_KEYS and type(value) not in (int, float):
+            parser.error(f"config file: {key!r} must be a number, got {value!r}")
 
 
 def _check_options(parser: argparse.ArgumentParser, subcommand: str,

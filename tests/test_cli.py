@@ -105,6 +105,12 @@ class TestParseConfig:
         ({"sizes": [16, 6.4]}, "sizes"),
         ({"k_range": 2}, "k_range"),
         ({"proposal": 1.0}, "proposal"),
+        ({"p": "0.1"}, "p"),
+        ({"p": False}, "p"),
+        ({"sigma": "2"}, "sigma"),
+        ({"sigma": True}, "sigma"),
+        ({"proposal_sd": "wide"}, "proposal_sd"),
+        ({"proposal_sd": None}, "proposal_sd"),
     ])
     def test_bad_config_file_key_is_usage_error(self, values, key, tmp_path,
                                                 capsys):
