@@ -51,6 +51,9 @@ class ContinuousOptimum:
 # Dorfman (1943) on real k: some pool size costs under one test per person,
 # min_k 1/k + 1 - (1-p)^k < 1, exactly when p is below this prevalence.
 POOLING_HELPS_BELOW = 1.0 - math.exp(-1.0 / math.e)
+# On whole k the same inequality holds exactly when p < 1 - k^(-1/k), which is
+# loosest at k = 3, so some integer pool size helps exactly below this.
+POOLING_HELPS_INTEGER_BELOW = 1.0 - 3.0 ** (-1.0 / 3.0)
 
 
 def expected_tests(k: float, n: float, p: float) -> float:
@@ -77,6 +80,11 @@ def expected_tests_per_person(k: float, p: float) -> float:
 def pooling_helps(p: float) -> bool:
     """Whether some real pool size beats individual testing at prevalence p."""
     return p < POOLING_HELPS_BELOW
+
+
+def pooling_helps_integer(p: float) -> bool:
+    """Whether some integer pool size beats individual testing at prevalence p."""
+    return p < POOLING_HELPS_INTEGER_BELOW
 
 
 def optimal_pool_size_continuous(p: float, tol: float = 1e-6) -> ContinuousOptimum:

@@ -87,11 +87,18 @@ def run_pooling(config: RunConfig, out: Path):
     best_k, best_cost = pooling.optimal_pool_size_integer(N, p, candidates)
     cont = pooling.optimal_pool_size_continuous(p)
     k_root = pooling.optimal_pool_size_root(p)
+    best_ratio = pooling.savings_ratio(best_k, p)
     warnings = []
     if not pooling.pooling_helps(p):
         warnings.append(
             f"pooling cannot beat individual testing at p={p} (it needs p < "
             f"{pooling.POOLING_HELPS_BELOW:.4f}); test individually"
+        )
+    elif best_ratio <= 1.0:
+        warnings.append(
+            f"no candidate pool size beats individual testing at p={p}: the "
+            f"best, k={best_k}, has savings ratio {best_ratio:.4f}; test "
+            f"individually"
         )
 
     costs = [
@@ -137,10 +144,11 @@ def run_pooling(config: RunConfig, out: Path):
         "best_integer_k": best_k,
         "best_integer_expected_tests": best_cost,
         "pooling_helps": pooling.pooling_helps(p),
+        "pooling_helps_integer": pooling.pooling_helps_integer(p),
         "continuous_optimum_k": cont.k,
         "continuous_optimum_at_boundary": cont.at_boundary,
         "bisection_cross_check_k": k_root,
-        "savings_ratio_at_best_k": pooling.savings_ratio(best_k, p),
+        "savings_ratio_at_best_k": best_ratio,
     }
     return tables, figs, summary, warnings
 

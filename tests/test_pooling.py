@@ -4,6 +4,7 @@ import pytest
 from statlab import simkit
 from statlab.pooling import (
     POOLING_HELPS_BELOW,
+    POOLING_HELPS_INTEGER_BELOW,
     ContinuousOptimum,
     PoolingDesign,
     cost_curve,
@@ -12,6 +13,7 @@ from statlab.pooling import (
     optimal_pool_size_integer,
     optimal_pool_size_root,
     pooling_helps,
+    pooling_helps_integer,
     savings_ratio,
     simulate_pooling,
     expected_tests_per_person,
@@ -93,6 +95,17 @@ class TestContinuousOptimum:
                 assert opt.at_boundary
                 assert opt.expected_tests_per_person == 1.0
                 assert np.all(expected_tests_per_person(ks, p) >= 1.0)
+
+    def test_integer_threshold_matches_brute_force(self):
+        # some whole pool size costs under one test per person exactly while
+        # p < 1 - 3^(-1/3); between that and the real-k threshold only
+        # fractional pools would help
+        assert POOLING_HELPS_INTEGER_BELOW == pytest.approx(0.30663, abs=1e-5)
+        assert pooling_helps(0.307) and not pooling_helps_integer(0.307)
+        ks = np.arange(2, 201)
+        for p in np.linspace(0.0, 1.0, 400)[1:-1]:
+            helps = bool(np.any(expected_tests_per_person(ks, p) < 1.0))
+            assert pooling_helps_integer(p) == helps
 
     def test_no_false_boundary_at_low_prevalence(self):
         for p in np.linspace(0.0, 0.0125, 200)[1:]:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from statlab import mh, report
+from statlab import mh, pooling, report
 from statlab.report import RunConfig, run_and_report, write_table
 
 
@@ -88,3 +88,20 @@ def test_run_mh_bins_the_reference_once(tmp_path, monkeypatch):
     run_and_report(RunConfig(subcommand="mh", root_seed=3, output_dir=tmp_path,
                              options={"burn_in": 10, "samples": 1000}))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("N", [60, 16, 70])
+def test_run_pooling_warns_when_no_candidate_saves(N, tmp_path):
+    # brute force over the candidate pool sizes, which for N = 16 and N = 70
+    # leave out k = 3, the only integer that helps for p just under 0.3066
+    candidates = [k for k in range(2, 11) if N % k == 0]
+    for p in np.linspace(0.2, 0.35, 31):
+        config = RunConfig(subcommand="pooling", root_seed=1, n_reps=1,
+                           options={"p": p, "N": N, "k_range": (2, 10)})
+        _, _, summary, warnings = report.run_pooling(config, tmp_path)
+        saves = any(pooling.expected_tests_per_person(k, p) < 1.0
+                    for k in candidates)
+        assert (summary["savings_ratio_at_best_k"] > 1.0) == saves
+        assert bool(warnings) == (not saves)
+        assert summary["pooling_helps_integer"] == (
+            p < pooling.POOLING_HELPS_INTEGER_BELOW)
