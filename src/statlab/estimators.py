@@ -54,7 +54,8 @@ def sigma_hat_iqr(sample: Sequence[float]) -> float | np.ndarray:
     x = np.asarray(sample, dtype=float)
     if x.ndim == 0 or x.shape[-1] < 4:
         raise ValueError("need at least 4 observations")
-    return (quantile_type7(x, 0.75) - quantile_type7(x, 0.25)) / IQR_TO_SIGMA
+    q1, q3 = quantile_type7(x, (0.25, 0.75))
+    return (q3 - q1) / IQR_TO_SIGMA
 
 
 def sigma_hat_s(sample: Sequence[float]) -> float | np.ndarray:

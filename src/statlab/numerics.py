@@ -212,25 +212,32 @@ def solve_root(
     return 0.5 * (lo + hi)
 
 
-def quantile_type7(sample: Sequence[float], p: float) -> float | np.ndarray:
+def quantile_type7(
+    sample: Sequence[float], p: float | tuple[float, ...]
+) -> float | np.ndarray | tuple:
     """Order-statistic quantile with linear interpolation at h = (n-1)p + 1.
 
     Observations run along the last axis: a ``(reps, n)`` array gives one
     quantile per row, each equal to the 1-D call on that row bit for bit.
+    Given a tuple of probabilities, it sorts the sample once and returns a
+    tuple of quantiles, each equal to its one-probability call bit for bit.
     """
     x = np.sort(np.asarray(sample, dtype=float), axis=-1)
     n = x.shape[-1]
     if n == 0:
         raise ValueError("sample must be non-empty")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    if n == 1:
-        q = x[..., 0]
-    else:
-        h = (n - 1) * p
-        i = min(int(math.floor(h)), n - 2)
-        q = x[..., i] + (h - i) * (x[..., i + 1] - x[..., i])
-    return float(q) if x.ndim == 1 else q
+    qs = []
+    for prob in p if isinstance(p, tuple) else (p,):
+        if not 0.0 <= prob <= 1.0:
+            raise ValueError("p must lie in [0, 1]")
+        if n == 1:
+            q = x[..., 0]
+        else:
+            h = (n - 1) * prob
+            i = min(int(math.floor(h)), n - 2)
+            q = x[..., i] + (h - i) * (x[..., i + 1] - x[..., i])
+        qs.append(float(q) if x.ndim == 1 else q)
+    return tuple(qs) if isinstance(p, tuple) else qs[0]
 
 
 def summarize(sample: Sequence[float]) -> SummaryStats:
@@ -241,14 +248,13 @@ def summarize(sample: Sequence[float]) -> SummaryStats:
         raise ValueError("sample must be non-empty")
     degenerate = n == 1
     sd = 0.0 if degenerate else float(np.std(x, ddof=1))
-    q1 = quantile_type7(x, 0.25)
-    q3 = quantile_type7(x, 0.75)
+    q1, median, q3 = quantile_type7(x, (0.25, 0.5, 0.75))
     return SummaryStats(
         n=int(n),
         mean=float(np.mean(x)),
         sd=sd,
         q1=q1,
-        median=quantile_type7(x, 0.5),
+        median=median,
         q3=q3,
         iqr=q3 - q1,
         degenerate=degenerate,

@@ -49,6 +49,14 @@ class TestSigmaHatIqr:
             3.0 * sigma_hat_iqr(x), rel=1e-12
         )
 
+    def test_block_sorted_once(self, monkeypatch):
+        sorts = []
+        sort = np.sort
+        monkeypatch.setattr(np, "sort", lambda a, **kw: sorts.append(1)
+                            or sort(a, **kw))
+        sigma_hat_iqr(np.random.default_rng(23).normal(size=(5, 8)))
+        assert len(sorts) == 1
+
 
 class TestSigmaHatS:
     def test_simple(self):

@@ -139,6 +139,17 @@ class TestQuantileType7:
         assert isinstance(quantile_type7(x[0], p), float)
 
 
+    @pytest.mark.parametrize("shape", [(1,), (2,), (101,), (7, 4), (7, 401)])
+    def test_several_probabilities_match_single_calls(self, shape):
+        x = np.random.default_rng(shape[-1]).normal(size=shape)
+        ps = (0.25, 0.5, 0.0, 0.75, 1.0)
+        for q, p in zip(quantile_type7(x, ps), ps, strict=True):
+            assert np.array_equal(q, quantile_type7(x, p))
+            assert type(q) is type(quantile_type7(x, p))
+        with pytest.raises(ValueError):
+            quantile_type7(x, (0.5, 1.5))
+
+
 class TestSummarize:
     def test_simple(self):
         s = summarize([1, 2, 3])
@@ -160,6 +171,14 @@ class TestSummarize:
         s = summarize(x)
         assert s.iqr == quantile_type7(x, 0.75) - quantile_type7(x, 0.25)
         assert s.q1 <= s.median <= s.q3
+
+    def test_sample_sorted_once(self, monkeypatch):
+        sorts = []
+        sort = np.sort
+        monkeypatch.setattr(np, "sort", lambda a, **kw: sorts.append(1)
+                            or sort(a, **kw))
+        summarize(np.arange(10.0))
+        assert len(sorts) == 1
 
     def test_singleton_flagged(self):
         s = summarize([3.5])
