@@ -1,4 +1,5 @@
 import itertools
+import sys
 import time
 
 import numpy as np
@@ -138,11 +139,17 @@ class TestRunReplicatesBatched:
         # through a run of every length tried
         monkeypatch.setattr(simkit, "_BLOCK_VALUES", 8)
         monkeypatch.setattr(simkit, "_RUN_ROWS", run_rows)
-        named = run_replicates_batched(
-            150, "runs", 6, 9,
-            lambda block: {"first": block[:, 0], "last": block[:, -1]},
-        )
-        plain = run_replicates_batched(150, "runs", 6, 9, lambda block: block[:, 1])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to expose a shared row
+        try:
+            named = run_replicates_batched(
+                150, "runs", 6, 9,
+                lambda block: {"first": block[:, 0], "last": block[:, -1]},
+            )
+            plain = run_replicates_batched(
+                150, "runs", 6, 9, lambda block: block[:, 1])
+        finally:
+            sys.setswitchinterval(interval)
         for i in range(150):
             row = make_stream(6, "runs", i).raw(9)
             assert named["first"][i] == row[0]
