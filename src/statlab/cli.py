@@ -97,12 +97,15 @@ _INT_KEYS = ("seed", "reps", "N", "burn_in", "samples", "bins", "workers",
 _LIST_KEYS = ("sizes", "k_range")
 # config-file keys that take a number, integer or not
 _FLOAT_KEYS = ("p", "sigma", "proposal_sd")
+# config-file keys of other types: the JSON type each takes, as messages say it
+_TYPED_KEYS = {"figures": (bool, "true or false"), "out": (str, "a string")}
 
 
 def _check_file_values(parser: argparse.ArgumentParser, values) -> None:
     """Reject config-file keys that no subcommand knows, integer keys given
-    anything but integers and number keys given anything but numbers (bools
-    included in both), as usage errors (exit 2)."""
+    anything but integers, number keys given anything but numbers (bools
+    included in both) and other keys given a value of the wrong JSON type, as
+    usage errors (exit 2)."""
     if not isinstance(values, dict):
         parser.error("config file must hold a JSON object")
     known = set(_COMMON_KEYS).union(*_OPTION_KEYS.values())
@@ -116,6 +119,9 @@ def _check_file_values(parser: argparse.ArgumentParser, values) -> None:
             parser.error(f"config file: {key!r} must be {kind}, got {value!r}")
         if key in _FLOAT_KEYS and type(value) not in (int, float):
             parser.error(f"config file: {key!r} must be a number, got {value!r}")
+        if key in _TYPED_KEYS and type(value) is not _TYPED_KEYS[key][0]:
+            parser.error(f"config file: {key!r} must be {_TYPED_KEYS[key][1]}, "
+                         f"got {value!r}")
 
 
 def _check_options(parser: argparse.ArgumentParser, subcommand: str,

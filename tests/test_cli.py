@@ -111,6 +111,12 @@ class TestParseConfig:
         ({"sigma": True}, "sigma"),
         ({"proposal_sd": "wide"}, "proposal_sd"),
         ({"proposal_sd": None}, "proposal_sd"),
+        ({"figures": "no"}, "figures"),
+        ({"figures": 1}, "figures"),
+        ({"figures": None}, "figures"),
+        ({"out": 5}, "out"),
+        ({"out": None}, "out"),
+        ({"out": ["a"]}, "out"),
     ])
     def test_bad_config_file_key_is_usage_error(self, values, key, tmp_path,
                                                 capsys):
@@ -120,6 +126,15 @@ class TestParseConfig:
         assert main(["mh", "--config", str(cfg), "--out", str(out)]) == 2
         assert repr(key) in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_file_bool_and_path_keys(self, tmp_path):
+        cfg = tmp_path / "conf.json"
+        out = tmp_path / "from_file"
+        for figures in (True, False):
+            cfg.write_text(json.dumps({"figures": figures, "out": str(out)}))
+            config = parse_config(["gof", "--config", str(cfg)])
+            assert config.emit_figures is figures
+            assert config.output_dir == out
 
     def test_config_file_may_carry_other_subcommands_keys(self, tmp_path):
         cfg = tmp_path / "conf.json"

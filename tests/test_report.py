@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from statlab import mh, pooling, report
+from statlab import gof, mh, pooling, report
 from statlab.report import RunConfig, run_and_report, write_table
 
 
@@ -88,6 +88,37 @@ def test_run_mh_bins_the_reference_once(tmp_path, monkeypatch):
     run_and_report(RunConfig(subcommand="mh", root_seed=3, output_dir=tmp_path,
                              options={"burn_in": 10, "samples": 1000}))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("chunk", [7, 100, 1 << 16])
+def test_chunked_variance(chunk, monkeypatch):
+    # two passes a chunk at a time, whole or ragged, agree with numpy's var
+    monkeypatch.setattr(report, "_CHUNK_SAMPLES", chunk)
+    x = 1.0 + 3.0 * np.random.default_rng(chunk).standard_normal(100)
+    assert math.isclose(report._variance(x), x.var(), rel_tol=1e-14)
+    assert report._variance(np.full(10, 2.5)) == 0.0
+
+
+def test_run_gof_distances_are_shape_distance(tmp_path, monkeypatch):
+    # one reference quadrature for every sample size, and the same distances,
+    # bit for bit, as gof.shape_distance computes on its own
+    calls = []
+    binned = gof.binned_chisq_density
+
+    def counted(*args):
+        calls.append(args)
+        return binned(*args)
+
+    monkeypatch.setattr(gof, "binned_chisq_density", counted)
+    config = RunConfig(subcommand="gof", root_seed=4, n_reps=300,
+                       options={"bins": 4, "sizes": (8, 16, 40)})
+    _, _, summary, _ = report.run_gof(config, tmp_path)
+    assert len(calls) == 1
+    monkeypatch.setattr(gof, "binned_chisq_density", binned)
+    plan = gof.GofPlan(bins=4, sample_sizes=(8, 16, 40), n_reps=300)
+    result = gof.simulate_uniform_gof(plan, 4)
+    assert summary["shape_distance"] == {
+        n: gof.shape_distance(v, result.df) for n, v in result.statistics.items()}
 
 
 @pytest.mark.parametrize("N", [60, 16, 70])

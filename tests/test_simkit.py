@@ -78,6 +78,44 @@ class TestDraws:
         assert abs(corr) < 0.03
 
 
+SHORT = simkit._SHORT_ROW_DRAWS
+
+
+class TestArrayPhilox:
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 4, 5, 7, 8, 15, 16, 17, SHORT, SHORT + 1])
+    def test_matches_numpy_philox(self, n):
+        # keys with the high bit of both words set catch a signed shift or a
+        # carry lost from the 32-bit halves of the multiply
+        rng = np.random.default_rng(n)
+        keys = rng.integers(0, 2**63, size=(40, 2), dtype=np.uint64)
+        keys |= np.uint64(1 << 63)
+        rows = simkit._philox_uniforms(keys, n)
+        assert rows.shape == (40, n) and rows.dtype == np.float64
+        for row, (lo, hi) in zip(rows, keys.tolist()):
+            gen = np.random.Generator(np.random.Philox(key=lo | hi << 64))
+            assert np.array_equal(row, gen.random(n))
+
+    @pytest.mark.parametrize("seed, experiment_id", [
+        (0, "gof-n16"), (-7, "pool"), (2**64 + 5, "mh"), (3, "gøf→ñ"),
+    ])
+    def test_block_keys_are_the_stream_keys(self, seed, experiment_id):
+        keys = simkit._block_keys(seed, experiment_id, 9, 5)
+        assert keys.shape == (5, 2)
+        for r, (lo, hi) in enumerate(keys.tolist()):
+            assert lo | hi << 64 == simkit._philox_key(seed, experiment_id, 9 + r)
+
+    @pytest.mark.parametrize("n_draws", [SHORT, SHORT + 1])
+    def test_engine_rows_at_the_crossover(self, n_draws, monkeypatch):
+        # either side of the crossover, blocks of 3 rows with a ragged last one
+        monkeypatch.setattr(simkit, "_BLOCK_VALUES", 3 * n_draws + 1)
+        seen = _blocks(8, n_draws)
+        assert [len(b) for b in seen] == [3, 3, 2]
+        rows = np.concatenate(seen)
+        for i in range(8):
+            assert np.array_equal(rows[i], make_stream(21, "blocks", i).raw(n_draws))
+
+
 def _blocks(n_reps, n_draws):
     """Run the batched harness and return the blocks in the order the task saw them."""
     seen = []
