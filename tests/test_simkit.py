@@ -129,7 +129,7 @@ def _blocks(n_reps, n_draws):
 
 
 class TestRunReplicatesBatched:
-    @pytest.mark.parametrize("n_draws", [1, 5, 16, 64])
+    @pytest.mark.parametrize("n_draws", [1, 5, 16, 64, 100])
     def test_rows_are_the_replicate_streams(self, n_draws, monkeypatch):
         # row i of the blocks is make_stream(seed, id, i).raw(n) bit for bit,
         # on both sides of each block boundary; a change in numpy's Philox
