@@ -40,6 +40,8 @@ DEFAULT_TABLES = {
 # on two threads.  150 such rows are more than two runs of 64 and not a
 # multiple of 64, so however the rows are handed out, both threads take
 # several and one takes a short tail.  The worker count must change nothing.
+# At p = 0.5, p * 2**53 is a whole number, so p is itself a possible uniform
+# and the strict ``<`` of the Bernoulli draw decides the threshold exactly.
 POOLING_RUNS = [
     (["--N", "60", "--k-range", "2:6", "--p", "0.2", "--reps", "3000"], {
         "pooling_candidates.csv":
@@ -59,6 +61,12 @@ POOLING_RUNS = [
             "f369b9e241d35e389439121ed3478d4d65834a85fef89b8748a2f67d481cff47",
         "pooling_cost_curve.csv":
             "bb97afd3988ceeb910a1ce487dbaaba1af02a28bd4b6d41ffcd0400dccda7386",
+    }),
+    (["--N", "16400", "--k-range", "2:5", "--reps", "20", "--p", "0.5"], {
+        "pooling_candidates.csv":
+            "aa86dd88f9ba17d2caea3483265c35db45d2d7a157feb54aec291719295a8a05",
+        "pooling_cost_curve.csv":
+            "9832f2bd111c9915d463687019236c0a66e7d8de05ae4fece07bd05d7edd01f4",
     }),
 ]
 
