@@ -85,7 +85,9 @@ def run_estimator_study(
     """
 
     def block_estimates(block: np.ndarray) -> dict[str, np.ndarray]:
-        draws = simkit.normals_from_uniforms(block, plan.true_mean, plan.true_sd)
+        draws = simkit.normals_from_uniforms(
+            simkit.uniforms(block), plan.true_mean, plan.true_sd
+        )
         return {"iqr": sigma_hat_iqr(draws), "s": sigma_hat_s(draws)}
 
     distributions: dict[tuple[str, int], np.ndarray] = {}

@@ -95,7 +95,8 @@ def simulate_uniform_gof(plan: GofPlan, root_seed: int) -> GofResult:
 
         def block_statistics(block: np.ndarray, expected=expected) -> np.ndarray:
             return pearson_statistic(
-                bin_uniform(plan.bins * block, plan.bins), expected
+                bin_uniform(plan.bins * simkit.uniforms(block), plan.bins),
+                expected,
             )
 
         study = simkit.run_replicates_batched(
@@ -128,7 +129,14 @@ def chisq_density(x: float, df: int) -> float:
 
 
 def binned_chisq_density(df: int, edges: np.ndarray) -> np.ndarray:
-    """Average chi-square density over each comparison bin."""
+    """Average chi-square density over each comparison bin.
+
+    At df = 1 the density is infinite at 0, where quadrature would evaluate
+    it, so the averages come from the distribution function erf(sqrt(x/2)).
+    """
+    if df == 1:
+        cdf = [math.erf(math.sqrt(x / 2.0)) for x in edges]
+        return np.diff(cdf) / np.diff(edges)
     avgs = np.empty(len(edges) - 1)
     for j in range(len(edges) - 1):
         a, b = edges[j], edges[j + 1]

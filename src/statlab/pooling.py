@@ -162,19 +162,19 @@ def simulate_pooling(
     Per replicate: N Bernoulli(p) disease statuses, partitioned into n pools
     of k; total tests = n + k * (number of positive pools).  Replicate ``i``
     draws its statuses, as ``bernoullis`` would, from its private substream
-    ``(root_seed, experiment_id, i)`` on ``simkit.run_replicates_batched``.
+    ``(root_seed, experiment_id, i)`` on ``simkit.run_replicates_batched``,
+    compared with p on the raw words (``simkit.uniforms_below``).
     """
     k, n, p = design.k, design.n, design.p
 
     def block_totals(block: np.ndarray) -> np.ndarray:
         totals = np.empty(len(block))
-        for r, row in enumerate(block):
-            # person j is positive when their uniform is below p and sits in
-            # pool j // k; the sorted pool indices of the positives change
-            # value once per further positive pool
-            pools = np.flatnonzero(row < p) // k
-            positive_pools = 1 + np.count_nonzero(np.diff(pools)) if pools.size else 0
-            totals[r] = n + k * positive_pools
+        for r, row in enumerate(simkit.uniforms_below(block, p)):
+            # person j sits in pool j // k; the sorted pool indices of the
+            # positives change value once per further positive pool
+            pools = row.nonzero()[0] // k
+            further = np.count_nonzero(pools[1:] != pools[:-1])
+            totals[r] = n + k * (further + 1 if pools.size else 0)
         return totals
 
     study = simkit.run_replicates_batched(

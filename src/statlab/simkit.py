@@ -8,10 +8,10 @@ matter how replicates are batched or which thread runs them.
 from __future__ import annotations
 
 import hashlib
-import itertools
+import math
 import threading
+from collections.abc import Callable, Mapping
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Mapping
 
 import numpy as np
 from scipy.special import ndtri
@@ -48,9 +48,7 @@ def _block_keys(
     return np.frombuffer(b"".join(digests), dtype="<u8").reshape(rows, 2)
 
 
-_WORD = (1 << 64) - 1  # Philox takes its 128-bit key as two little-endian words
-
-# The most uniforms one block of a batched task may hold (a 128 KiB float64
+# The most words one block of a batched task may hold (a 128 KiB uint64
 # block), so memory stays bounded.
 _BLOCK_VALUES = 1 << 14
 # Consecutive rows one thread draws per pool task when a row is wider than a
@@ -77,14 +75,13 @@ def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return a_hi * m_hi + (t >> 32) + (w >> 32), a * np.uint64(m)
 
 
-def _philox_uniforms(keys: np.ndarray, n: int) -> np.ndarray:
-    """Row ``r`` is ``Generator(Philox(key)).random(n)`` for the words ``keys[r]``.
+def _philox_words(keys: np.ndarray, n: int) -> np.ndarray:
+    """Row ``r`` is ``Philox(key).random_raw(n)`` for the key words ``keys[r]``.
 
     numpy's Philox4x64-10 run as array arithmetic over all rows at once: the
-    counter starts at 1, each counter gives four words in order, and a word
-    ``x`` becomes the uniform ``(x >> 11) * 2**-53``.  The counter's three
-    upper words stay 0 for every counter a row reaches, so the first rounds
-    broadcast over rows or counters alone.
+    counter starts at 1 and each counter gives four words in order.  The
+    counter's three upper words stay 0 for every counter a row reaches, so the
+    first rounds broadcast over rows or counters alone.
     """
     rows, counters = len(keys), -(-n // 4)
     k0, k1 = keys[:, :1].copy(), keys[:, 1:].copy()
@@ -98,7 +95,33 @@ def _philox_uniforms(keys: np.ndarray, n: int) -> np.ndarray:
         hi1, lo1 = _mulhilo(x2, _PHILOX_M[1])
         x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
     words = np.stack((x0, x1, x2, x3), axis=-1).reshape(rows, 4 * counters)
-    return (words[:, :n] >> 11) * 2.0**-53
+    return words[:, :n]
+
+
+def uniforms(words: np.ndarray) -> np.ndarray:
+    """Uniforms on [0, 1) from Philox words, as numpy's ``Generator.random``.
+
+    A word ``w`` becomes ``(w >> 11) * 2**-53``, its top 53 bits scaled, so
+    ``uniforms(Philox(key).random_raw(n))`` is, bit for bit,
+    ``Generator(Philox(key)).random(n)``.
+    """
+    return (words >> 11) * 2.0**-53
+
+
+def uniforms_below(words: np.ndarray, p: float) -> np.ndarray:
+    """``uniforms(words) < p``, exactly, but compared on the words themselves.
+
+    For p in [0, 1], ``p * 2**53`` is exact, so ``(w >> 11) * 2**-53 < p``
+    holds exactly when ``(w >> 11) < ceil(p * 2**53)``, that is when ``w`` is
+    below ``ceil(p * 2**53) * 2**11``.  At p = 1 that bound is 2**64, above
+    every word.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    threshold = math.ceil(p * 2.0**53) << 11
+    if threshold >> 64:
+        return np.ones(np.shape(words), dtype=bool)
+    return words < np.uint64(threshold)
 
 
 class RngStream:
@@ -160,6 +183,30 @@ def make_stream(root_seed: int, experiment_id: str, replicate_index: int) -> Rng
     return RngStream(root_seed, experiment_id, replicate_index)
 
 
+def _as_values(out, rows: int, names=None) -> dict[str, np.ndarray]:
+    """A task's output for ``rows`` rows as float arrays by name.
+
+    A plain array is named ``"value"``.  Raises ValueError unless every array
+    holds one value per row and, when ``names`` is given, the names are those.
+    """
+    if not isinstance(out, Mapping):
+        out = {"value": out}
+    if names is not None and out.keys() != names:
+        raise ValueError(
+            f"task outputs {sorted(out)} differ from the first block's "
+            f"{sorted(names)}"
+        )
+    values = {}
+    for name, v in out.items():
+        values[name] = np.asarray(v, dtype=float)
+        if values[name].shape != (rows,):
+            raise ValueError(
+                f"task output {name!r} has shape {values[name].shape}, "
+                f"expected ({rows},)"
+            )
+    return values
+
+
 def run_replicates_batched(
     n_reps: int,
     experiment_id: str,
@@ -167,39 +214,40 @@ def run_replicates_batched(
     n_draws: int,
     task: Callable[[np.ndarray], np.ndarray | Mapping[str, np.ndarray]],
 ) -> dict[str, np.ndarray]:
-    """Run ``task`` once per block of replicates, on their streams' first draws.
+    """Run ``task`` once per block of replicates, on their streams' first words.
 
-    ``task(block)`` gets a ``(reps, n_draws)`` array of uniforms on [0, 1)
-    whose rows are consecutive replicates' private substreams: row ``i`` of
-    the blocks taken in order is, bit for bit,
-    ``make_stream(root_seed, experiment_id, i).raw(n_draws)``.  It returns one
-    value per row, or a mapping of named arrays of one value per row.  The
-    result maps each name (``"value"`` for a plain array) to the values of all
-    replicates, in replicate order.
+    ``task(block)`` gets a ``(reps, n_draws)`` uint64 array of raw Philox
+    words whose rows are consecutive replicates' private substreams: row ``i``
+    of the blocks taken in order is, bit for bit, the words behind
+    ``make_stream(root_seed, experiment_id, i).raw(n_draws)``, which
+    ``uniforms`` turns into those uniforms.  A task that needs no uniforms,
+    such as a Bernoulli comparison, can work on the words themselves.  It
+    returns one value per row, or a mapping of named arrays of one value per
+    row.  The result maps each name (``"value"`` for a plain array) to the
+    values of all replicates, in replicate order.
 
-    Blocks hold at most ``_BLOCK_VALUES`` uniforms, and no per-replicate
-    generator is built.  The width of a row picks one of three ways to draw:
+    Blocks hold at most ``_BLOCK_VALUES`` words, no per-replicate generator
+    is built, and every block's or run's keys come from one hashed prefix
+    (``_block_keys``).  The width of a row picks one of three ways to draw:
 
     - Short rows, at most ``_SHORT_ROW_DRAWS`` draws, run serially, and each
-      block is drawn whole: its keys come from one hashed prefix
-      (``_block_keys``) and all its rows from one array Philox4x64-10
-      (``_philox_uniforms``), so no row pays numpy's per-call overhead.
+      block is drawn whole by one array Philox4x64-10 (``_philox_words``), so
+      no row pays numpy's per-call overhead.
     - Wider rows that still fit several to a block run serially, and each
-      row is drawn by re-keying one Philox generator to the replicate's key
-      with its counter and buffer zeroed, which is how a fresh stream starts.
-      The array Philox costs about 11 times numpy's per uniform (67 against
-      5.9 ns), which the per-row overhead it saves no longer repays here.
-      On a 2-vCPU host, 10 000 rows with a trivial task took, array against
-      re-keyed, 3.0 against 7.9 us per row at 16 draws, 5.5 us either way at
-      64, and 10.6 against 9.6 us at 100.
+      row is drawn by ``random_raw`` from one Philox re-keyed to the
+      replicate's key with its counter and buffer zeroed, which is how a
+      fresh stream starts.  The array Philox costs about 11 times numpy's per
+      word (67 against 5.9 ns), which the per-row overhead it saves no longer
+      repays here.  On a 2-vCPU host, 10 000 rows with a trivial task took,
+      array against re-keyed, 3.0 against 7.9 us per row at 16 draws, 5.5 us
+      either way at 64, and 10.6 against 9.6 us at 100.
     - A row alone larger than a block is a block of one row.  Such rows spend
       most of their time drawing, which numpy does with the GIL released, so
       two threads run them: each takes runs of ``_RUN_ROWS`` consecutive
-      replicates and draws every row of a run, re-keyed as above, into the one
-      ``(1, n_draws)`` row it keeps, with its own generator.  The row is
-      overwritten by the next draw, so each output is copied out first, and
-      ``task`` must be safe to call from both threads at once.  After an
-      error, no run still queued starts.
+      replicates and draws every row of a run afresh, re-keyed as above, with
+      its own Philox, and hands back one output per run.  ``task`` must be
+      safe to call from both threads at once.  After an error, no run still
+      queued starts.
 
     The output depends on neither the path, the block size, the run length
     nor the threads.
@@ -212,46 +260,37 @@ def run_replicates_batched(
     local = threading.local()
     failed = threading.Event()
 
-    def fill(block: np.ndarray, start: int) -> None:
-        """Draw replicates ``start``, ``start + 1``, ... into block's rows."""
-        if not hasattr(local, "gen"):  # a re-keyed Philox is single-owner
-            local.gen = np.random.Generator(np.random.Philox(key=0))
-            local.fresh = local.gen.bit_generator.state
-        for r in range(len(block)):
-            key = _philox_key(root_seed, experiment_id, start + r)
-            local.fresh["state"]["key"] = (key & _WORD, key >> 64)
-            local.gen.bit_generator.state = local.fresh
-            local.gen.random(out=block[r])
+    def draw(lo: int, hi: int) -> np.ndarray:
+        """The first ``n_draws`` words of the stream keyed by words lo, hi."""
+        if not hasattr(local, "philox"):  # a re-keyed Philox is single-owner
+            local.philox = np.random.Philox(key=0)
+            local.fresh = local.philox.state
+        local.fresh["state"]["key"] = (lo, hi)
+        local.philox.state = local.fresh
+        return local.philox.random_raw(n_draws)
 
     def run_block(start: int):
         rows = min(size, n_reps - start)
+        keys = _block_keys(root_seed, experiment_id, start, rows)
         if n_draws <= _SHORT_ROW_DRAWS:
-            keys = _block_keys(root_seed, experiment_id, start, rows)
-            block = _philox_uniforms(keys, n_draws)
+            block = _philox_words(keys, n_draws)
         else:
-            block = np.empty((rows, n_draws))
-            fill(block, start)
+            block = np.stack([draw(lo, hi) for lo, hi in keys.tolist()])
         return rows, task(block)
 
     def run_rows(start: int):
-        outs = []
         if failed.is_set():  # an earlier run failed; the caller never reads this
-            return outs
-        if not hasattr(local, "row"):
-            local.row = np.empty((1, n_draws))
+            return None
+        rows = min(_RUN_ROWS, n_reps - start)
+        outs: list[dict[str, np.ndarray]] = []
         try:
-            for i in range(start, min(start + _RUN_ROWS, n_reps)):
-                fill(local.row, i)
-                out = task(local.row)
-                if isinstance(out, Mapping):
-                    out = {name: np.array(v, dtype=float) for name, v in out.items()}
-                else:
-                    out = np.array(out, dtype=float)
-                outs.append((1, out))
+            for lo, hi in _block_keys(root_seed, experiment_id, start, rows).tolist():
+                out = task(draw(lo, hi)[None])
+                outs.append(_as_values(out, 1, outs[0].keys() if outs else None))
         except BaseException:
             failed.set()
             raise
-        return outs
+        return rows, {name: np.concatenate([o[name] for o in outs]) for name in outs[0]}
 
     parts: dict[str, list[np.ndarray]] = {}
     pool = ThreadPoolExecutor(2)
@@ -259,23 +298,10 @@ def run_replicates_batched(
         if size > 1:
             blocks = map(run_block, range(0, n_reps, size))
         else:
-            runs = pool.map(run_rows, range(0, n_reps, _RUN_ROWS))
-            blocks = itertools.chain.from_iterable(runs)
+            blocks = pool.map(run_rows, range(0, n_reps, _RUN_ROWS))
         for rows, out in blocks:
-            if not isinstance(out, Mapping):
-                out = {"value": out}
-            if parts and out.keys() != parts.keys():
-                raise ValueError(
-                    f"task outputs {sorted(out)} differ from the first block's "
-                    f"{sorted(parts)}"
-                )
+            out = _as_values(out, rows, parts.keys() if parts else None)
             for name, values in out.items():
-                values = np.asarray(values, dtype=float)
-                if values.shape != (rows,):
-                    raise ValueError(
-                        f"task output {name!r} has shape {values.shape}, "
-                        f"expected ({rows},)"
-                    )
                 parts.setdefault(name, []).append(values)
     finally:
         failed.set()

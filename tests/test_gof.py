@@ -5,6 +5,7 @@ from oracles import chisq_sample
 from statlab.gof import (
     GofPlan,
     bin_uniform,
+    binned_chisq_density,
     chisq_density,
     pearson_statistic,
     shape_distance,
@@ -173,6 +174,17 @@ class TestChisqDensity:
     def test_negative_x_rejected(self):
         with pytest.raises(ValueError):
             chisq_density(-1.0, 7)
+
+    @pytest.mark.parametrize("df", [1, 2, 7])
+    def test_bin_averages_match_scipy(self, df):
+        # df = 1 is infinite at 0, the left edge of the first bin
+        from scipy.special import chdtr
+
+        edges = np.linspace(0.0, 20.0, 41)
+        exact = np.diff(chdtr(df, edges)) / np.diff(edges)
+        avgs = binned_chisq_density(df, edges)
+        assert np.all(np.isfinite(avgs))
+        assert np.allclose(avgs, exact, rtol=1e-9, atol=1e-12)
 
 
 class TestShapeDistance:

@@ -243,6 +243,14 @@ class TestSimulatePooling:
         totals = _replicate_totals(design, 300, 9, "count", monkeypatch)
         assert np.array_equal(totals, expected)
 
+    @pytest.mark.parametrize("N", [40, 200, 16400])  # short, middle, wide rows
+    def test_degenerate_prevalences_every_replicate(self, N, monkeypatch):
+        n = N // 4
+        for p, total in ((0.0, n), (1.0, n + N)):
+            design = PoolingDesign(N=N, k=4, n=n, p=p)
+            totals = _replicate_totals(design, 70, 2, "edge", monkeypatch)
+            assert totals.tolist() == [total] * 70
+
     def test_design_validation(self):
         with pytest.raises(ValueError):
             PoolingDesign(N=11, k=2, n=5, p=0.1)

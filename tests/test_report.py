@@ -121,6 +121,17 @@ def test_run_gof_distances_are_shape_distance(tmp_path, monkeypatch):
         n: gof.shape_distance(v, result.df) for n, v in result.statistics.items()}
 
 
+def test_run_gof_two_bins_is_finite(tmp_path):
+    # at df = 1 the reference density is infinite at 0; the tables and the
+    # summary must still hold only finite numbers
+    config = RunConfig(subcommand="gof", root_seed=4, n_reps=300,
+                       options={"bins": 2})
+    tables, _, summary, _ = report.run_gof(config, tmp_path)
+    assert all(math.isfinite(d) for d in summary["shape_distance"].values())
+    for name in tables:
+        assert "nan" not in (tmp_path / name).read_text()
+
+
 @pytest.mark.parametrize("N", [60, 16, 70])
 def test_run_pooling_warns_when_no_candidate_saves(N, tmp_path):
     # brute force over the candidate pool sizes, which for N = 16 and N = 70

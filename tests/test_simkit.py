@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 import time
 
@@ -78,6 +79,33 @@ class TestDraws:
         assert abs(corr) < 0.03
 
 
+class TestUniformsBelow:
+    @pytest.mark.parametrize("p", [
+        0.0, 5e-324, 2.0**-53, 0.05, 0.2, 0.5, 1.0 - 2.0**-53, 1.0,
+    ])
+    def test_matches_the_uniforms(self, p):
+        # the words either side of the threshold, the extreme words, and words
+        # whose uniform is p itself or its neighbours
+        threshold = math.ceil(p * 2.0**53) * 2**11
+        near = [threshold - 1, threshold, 0, 2**64 - 1]
+        for u in (p, np.nextafter(p, 0.0), np.nextafter(p, 1.0)):
+            m = int(u * 2.0**53)
+            near += [m << 11, (m << 11) + 2**11 - 1]
+        words = np.array([w for w in near if 0 <= w < 2**64], dtype=np.uint64)
+        words = np.concatenate(
+            [words, np.random.Philox(key=7).random_raw(10_000)])
+        assert np.array_equal(
+            simkit.uniforms_below(words, p), simkit.uniforms(words) < p)
+
+    def test_shape_and_range(self):
+        words = np.zeros((3, 5), dtype=np.uint64)
+        assert simkit.uniforms_below(words, 1.0).shape == (3, 5)
+        assert not simkit.uniforms_below(words, 0.0).any()
+        for p in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                simkit.uniforms_below(words, p)
+
+
 SHORT = simkit._SHORT_ROW_DRAWS
 
 
@@ -86,15 +114,18 @@ class TestArrayPhilox:
         "n", [1, 2, 3, 4, 5, 7, 8, 15, 16, 17, SHORT, SHORT + 1])
     def test_matches_numpy_philox(self, n):
         # keys with the high bit of both words set catch a signed shift or a
-        # carry lost from the 32-bit halves of the multiply
+        # carry lost from the 32-bit halves of the multiply; all 64 bits of
+        # every word are compared, not only the 53 a uniform keeps
         rng = np.random.default_rng(n)
         keys = rng.integers(0, 2**63, size=(40, 2), dtype=np.uint64)
         keys |= np.uint64(1 << 63)
-        rows = simkit._philox_uniforms(keys, n)
-        assert rows.shape == (40, n) and rows.dtype == np.float64
+        rows = simkit._philox_words(keys, n)
+        assert rows.shape == (40, n) and rows.dtype == np.uint64
         for row, (lo, hi) in zip(rows, keys.tolist()):
-            gen = np.random.Generator(np.random.Philox(key=lo | hi << 64))
-            assert np.array_equal(row, gen.random(n))
+            key = lo | hi << 64
+            assert np.array_equal(row, np.random.Philox(key=key).random_raw(n))
+            gen = np.random.Generator(np.random.Philox(key=key))
+            assert np.array_equal(simkit.uniforms(row), gen.random(n))
 
     @pytest.mark.parametrize("seed, experiment_id", [
         (0, "gof-n16"), (-7, "pool"), (2**64 + 5, "mh"), (3, "gøf→ñ"),
@@ -111,9 +142,20 @@ class TestArrayPhilox:
         monkeypatch.setattr(simkit, "_BLOCK_VALUES", 3 * n_draws + 1)
         seen = _blocks(8, n_draws)
         assert [len(b) for b in seen] == [3, 3, 2]
-        rows = np.concatenate(seen)
-        for i in range(8):
-            assert np.array_equal(rows[i], make_stream(21, "blocks", i).raw(n_draws))
+        _assert_stream_rows(np.concatenate(seen), 21, "blocks")
+
+
+def _assert_stream_rows(rows, seed, experiment_id):
+    """Row i of the words ``rows`` gives replicate i's stream uniforms."""
+    assert rows.dtype == np.uint64
+    for i, row in enumerate(rows):
+        stream = make_stream(seed, experiment_id, i).raw(len(row))
+        assert np.array_equal(simkit.uniforms(row), stream)
+
+
+def _columns(block):
+    """A task naming each column's uniforms, so the engine returns whole rows."""
+    return {str(j): simkit.uniforms(block[:, j]) for j in range(block.shape[1])}
 
 
 def _blocks(n_reps, n_draws):
@@ -139,9 +181,7 @@ class TestRunReplicatesBatched:
         n_reps = 2 * size + 3
         seen = _blocks(n_reps, n_draws)
         assert [len(b) for b in seen] == [size, size, 3]
-        rows = np.concatenate(seen)
-        for i in range(n_reps):
-            assert np.array_equal(rows[i], make_stream(21, "blocks", i).raw(n_draws))
+        _assert_stream_rows(np.concatenate(seen), 21, "blocks")
 
     def test_block_size_does_not_change_rows(self, monkeypatch):
         whole = _blocks(60, 16)
@@ -161,19 +201,15 @@ class TestRunReplicatesBatched:
         # rows wider than a block run one per block on two threads, each with
         # its own generator; outputs still come back in replicate order
         monkeypatch.setattr(simkit, "_BLOCK_VALUES", 8)
-        res = run_replicates_batched(
-            300, "wide", 4, 9,
-            lambda block: {"first": block[:, 0], "last": block[:, -1]},
-        )
+        res = run_replicates_batched(300, "wide", 4, 9, _columns)
+        rows = np.column_stack([res[str(j)] for j in range(9)])
         for i in range(300):
-            row = make_stream(4, "wide", i).raw(9)
-            assert res["first"][i] == row[0]
-            assert res["last"][i] == row[-1]
+            assert np.array_equal(rows[i], make_stream(4, "wide", i).raw(9))
 
     @pytest.mark.parametrize("run_rows", [1, 3, 64])
     def test_run_length_does_not_change_rows(self, run_rows, monkeypatch):
         # wide rows go to the threads in runs of consecutive replicates, each
-        # thread drawing them into the one row it reuses; 150 rows end partway
+        # thread re-keying the one Philox it keeps; 150 rows end partway
         # through a run of every length tried
         monkeypatch.setattr(simkit, "_BLOCK_VALUES", 8)
         monkeypatch.setattr(simkit, "_RUN_ROWS", run_rows)
@@ -182,10 +218,11 @@ class TestRunReplicatesBatched:
         try:
             named = run_replicates_batched(
                 150, "runs", 6, 9,
-                lambda block: {"first": block[:, 0], "last": block[:, -1]},
+                lambda block: {"first": simkit.uniforms(block[:, 0]),
+                               "last": simkit.uniforms(block[:, -1])},
             )
             plain = run_replicates_batched(
-                150, "runs", 6, 9, lambda block: block[:, 1])
+                150, "runs", 6, 9, lambda block: simkit.uniforms(block[:, 1]))
         finally:
             sys.setswitchinterval(interval)
         for i in range(150):
@@ -205,7 +242,7 @@ class TestRunReplicatesBatched:
 
         def task(block):
             next(calls)
-            i = replicate_of.get(block[0, 0])
+            i = replicate_of.get(simkit.uniforms(block[0, 0]))
             if i == 0:
                 time.sleep(0.1)
             if i == 4:
@@ -218,22 +255,19 @@ class TestRunReplicatesBatched:
 
     def test_outputs_in_replicate_order(self, monkeypatch):
         monkeypatch.setattr(simkit, "_BLOCK_VALUES", 8 * 4)
-        res = run_replicates_batched(50, "ord", 3, 4, lambda block: block[:, 0])
+        res = run_replicates_batched(
+            50, "ord", 3, 4, lambda block: simkit.uniforms(block[:, 0]))
         assert res["value"].tolist() == [
             make_stream(3, "ord", i).raw(1)[0] for i in range(50)
         ]
 
     def test_named_outputs(self, monkeypatch):
         monkeypatch.setattr(simkit, "_BLOCK_VALUES", 4 * 3)
-        res = run_replicates_batched(
-            10, "named", 5, 3,
-            lambda block: {"first": block[:, 0], "last": block[:, -1]},
-        )
-        assert list(res) == ["first", "last"]
+        res = run_replicates_batched(10, "named", 5, 3, _columns)
+        assert list(res) == ["0", "1", "2"]
+        rows = np.column_stack([res[name] for name in res])
         for i in range(10):
-            row = make_stream(5, "named", i).raw(3)
-            assert res["first"][i] == row[0]
-            assert res["last"][i] == row[-1]
+            assert np.array_equal(rows[i], make_stream(5, "named", i).raw(3))
 
     def test_named_output_checks(self, monkeypatch):
         with pytest.raises(ValueError, match="'b' has shape"):
@@ -246,6 +280,19 @@ class TestRunReplicatesBatched:
         with pytest.raises(ValueError, match="differ"):
             run_replicates_batched(
                 4, "named", 0, 2, lambda block: {next(names): block[:, 0]}
+            )
+
+    def test_wide_row_output_checks(self, monkeypatch):
+        # rows drawn on the threads are checked as blocks are, within a run
+        monkeypatch.setattr(simkit, "_BLOCK_VALUES", 2)
+        with pytest.raises(ValueError, match="'b' has shape"):
+            run_replicates_batched(
+                4, "named", 0, 3, lambda block: {"a": block[:, 0], "b": block}
+            )
+        names = itertools.cycle(["a", "b"])
+        with pytest.raises(ValueError, match="differ"):
+            run_replicates_batched(
+                4, "named", 0, 3, lambda block: {next(names): block[:, 0]}
             )
 
     def test_wrong_output_length_rejected(self):
