@@ -29,11 +29,16 @@ class EstimatorStudyPlan:
 
     def __post_init__(self):
         if any(n < 4 for n in self.sample_sizes):
-            raise ValueError("sample sizes must be >= 4")
+            raise ValueError(f"sample_sizes must each be at least 4, got "
+                             f"{self.sample_sizes}")
+        if len(set(self.sample_sizes)) < len(self.sample_sizes):
+            raise ValueError(f"sample_sizes must be distinct, got "
+                             f"{self.sample_sizes}")
         if not (math.isfinite(self.true_sd) and self.true_sd > 0):
-            raise ValueError("true_sd must be positive and finite")
+            raise ValueError(f"true_sd must be positive and finite, got "
+                             f"{self.true_sd}")
         if self.n_reps < 2:
-            raise ValueError("n_reps must be >= 2")
+            raise ValueError(f"n_reps must be at least 2, got {self.n_reps}")
 
 
 @dataclass(frozen=True)

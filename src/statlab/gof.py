@@ -24,14 +24,16 @@ class GofPlan:
 
     def __post_init__(self):
         if self.bins < 2:
-            raise ValueError("need at least 2 bins")
+            raise ValueError(f"bins must be at least 2, got {self.bins}")
         for n in self.sample_sizes:
             if n < self.bins or n % self.bins != 0:
-                raise ValueError(
-                    f"sample size {n} must be a multiple of bins={self.bins}"
-                )
+                raise ValueError(f"sample_sizes must be positive multiples of "
+                                 f"the bin count {self.bins}, got {n}")
+        if len(set(self.sample_sizes)) < len(self.sample_sizes):
+            raise ValueError(f"sample_sizes must be distinct, got "
+                             f"{self.sample_sizes}")
         if self.n_reps < 1:
-            raise ValueError("n_reps must be >= 1")
+            raise ValueError(f"n_reps must be at least 1, got {self.n_reps}")
 
 
 @dataclass(frozen=True)

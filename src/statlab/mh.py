@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import QuadratureResult, integrate_interval, integrate_real_line
+from .numerics import integrate_interval, integrate_real_line
 from .simkit import RngStream, normals_from_uniforms
 
 
@@ -30,19 +30,13 @@ class TargetDensity:
 
     def __init__(self):
         self._constant: float | None = None
-        self._quadrature: QuadratureResult | None = None
 
     def normalize(self, tol: float = 1e-10) -> float:
         """Normalizing constant 1/Z with Z = 2 * integral of g over [0, inf)."""
         if self._constant is None:
             res = integrate_real_line(unnormalized, tol=tol, even=True)
-            self._quadrature = res
             self._constant = 1.0 / res.value
         return self._constant
-
-    @property
-    def quadrature(self) -> QuadratureResult | None:
-        return self._quadrature
 
     def pdf(self, y: float) -> float:
         return self.normalize() * unnormalized(y)
@@ -64,9 +58,12 @@ class MhConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.proposal_sd) and self.proposal_sd > 0):
-            raise ValueError("proposal_sd must be positive and finite")
-        if self.burn_in < 0 or self.n_samples < 1:
-            raise ValueError("need burn_in >= 0 and n_samples >= 1")
+            raise ValueError(f"proposal_sd must be positive and finite, got "
+                             f"{self.proposal_sd}")
+        if self.burn_in < 0:
+            raise ValueError(f"burn_in must be at least 0, got {self.burn_in}")
+        if self.n_samples < 1:
+            raise ValueError(f"n_samples must be at least 1, got {self.n_samples}")
 
 
 @dataclass(frozen=True)

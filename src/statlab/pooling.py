@@ -33,6 +33,36 @@ class PoolingDesign:
 
 
 @dataclass(frozen=True)
+class PoolingPlan:
+    """A pooling study: prevalence, population, pool-size range, replicates."""
+
+    p: float = 0.05
+    N: int = 5000
+    k_range: tuple[int, int] = (2, 10)
+    n_reps: int = 1000
+
+    def __post_init__(self):
+        if not 0.0 < self.p < 1.0:
+            raise ValueError(f"p must lie strictly in (0, 1), got {self.p}")
+        if len(self.k_range) != 2 or not (
+                2 <= self.k_range[0] < self.k_range[1] <= self.N):
+            raise ValueError(f"k_range must satisfy 2 <= lo < hi <= N = "
+                             f"{self.N}, got {self.k_range}")
+        if not self.candidates:
+            lo, hi = self.k_range
+            raise ValueError(f"N must have a divisor between {lo} and {hi}, "
+                             f"got {self.N}")
+        if self.n_reps < 1:
+            raise ValueError(f"n_reps must be at least 1, got {self.n_reps}")
+
+    @property
+    def candidates(self) -> list[int]:
+        """The pool sizes in the k-range that divide N."""
+        lo, hi = self.k_range
+        return [k for k in range(lo, hi + 1) if self.N % k == 0]
+
+
+@dataclass(frozen=True)
 class PoolingCost:
     expected_tests_analytic: float
     simulated_mean: float

@@ -30,19 +30,25 @@ class RunConfig:
     options: dict = field(default_factory=dict)
 
 
-@dataclass
-class ExperimentReport:
-    subcommand: str
-    version: str
-    root_seed: int
-    timestamp: str
-    tables: list[str]
-    figures: list[str]
-    summary: dict
-    warnings: list[str] = field(default_factory=list)
+# Option keys that name their plan's field differently.
+PLAN_FIELDS = {"reps": "n_reps", "samples": "n_samples", "sizes": "sample_sizes",
+               "sigma": "true_sd"}
+_PLANS = {"pooling": pooling.PoolingPlan, "mh": mh.MhConfig,
+          "estimator": estimators.EstimatorStudyPlan, "gof": gof.GofPlan}
 
 
-POOLING_DEFAULTS = {"p": 0.05, "N": 5000, "k_range": (2, 10)}
+def make_plan(name: str, options: dict, n_reps: int | None):
+    """The plan of study ``name`` from option keys and a replicate count.
+
+    What is not given takes the plan's default; the plan checks every value
+    and raises ValueError naming the field it rejects.  The MH chain takes no
+    replicate count.
+    """
+    values = {PLAN_FIELDS.get(key, key): value for key, value in options.items()}
+    if n_reps is not None and name != "mh":
+        values["n_reps"] = n_reps
+    return _PLANS[name](**values)
+
 
 # Rows formatted per write; bounds the cell strings held at once to about 1 MB.
 _CHUNK_ROWS = 4096
@@ -79,13 +85,8 @@ def write_table(path: Path, columns: dict[str, Sequence]) -> None:
 
 
 def run_pooling(config: RunConfig, out: Path):
-    opts = config.options
-    p = float(opts.get("p", POOLING_DEFAULTS["p"]))
-    N = int(opts.get("N", POOLING_DEFAULTS["N"]))
-    k_lo, k_hi = opts.get("k_range", POOLING_DEFAULTS["k_range"])
-    n_reps = 1000 if config.n_reps is None else config.n_reps
-
-    candidates = [k for k in range(int(k_lo), int(k_hi) + 1) if N % k == 0]
+    plan = make_plan("pooling", config.options, config.n_reps)
+    p, N, n_reps, candidates = plan.p, plan.N, plan.n_reps, plan.candidates
     best_k, best_cost = pooling.optimal_pool_size_integer(N, p, candidates)
     cont = pooling.optimal_pool_size_continuous(p)
     k_root = pooling.optimal_pool_size_root(p)
@@ -122,7 +123,7 @@ def run_pooling(config: RunConfig, out: Path):
     })
     tables.append(t1.name)
 
-    ks, curve = pooling.cost_curve(N, p, float(k_lo), float(k_hi))
+    ks, curve = pooling.cost_curve(N, p, *plan.k_range)
     t2 = out / "pooling_cost_curve.csv"
     write_table(t2, {"k": ks, "expected_tests": curve})
     tables.append(t2.name)
@@ -170,12 +171,7 @@ def _variance(x: np.ndarray) -> float:
 
 
 def run_mh(config: RunConfig, out: Path):
-    opts = config.options
-    mh_config = mh.MhConfig(
-        proposal_sd=float(opts.get("proposal_sd", 1.0)),
-        burn_in=int(opts.get("burn_in", 100_000)),
-        n_samples=int(opts.get("samples", 100_000)),
-    )
+    mh_config = make_plan("mh", config.options, config.n_reps)
     warnings = []
     defaults = mh.MhConfig()
     if (mh_config.burn_in < defaults.burn_in
@@ -234,12 +230,7 @@ def run_mh(config: RunConfig, out: Path):
 
 
 def run_estimator(config: RunConfig, out: Path):
-    opts = config.options
-    plan = estimators.EstimatorStudyPlan(
-        sample_sizes=tuple(opts.get("sizes", (100, 400))),
-        true_sd=float(opts.get("sigma", math.pi)),
-        n_reps=1000 if config.n_reps is None else config.n_reps,
-    )
+    plan = make_plan("estimator", config.options, config.n_reps)
     result = estimators.run_estimator_study(plan, config.root_seed)
 
     tables, figs = [], []
@@ -296,12 +287,7 @@ def run_estimator(config: RunConfig, out: Path):
 
 
 def run_gof(config: RunConfig, out: Path):
-    opts = config.options
-    plan = gof.GofPlan(
-        bins=int(opts.get("bins", 8)),
-        sample_sizes=tuple(opts.get("sizes", (16, 64))),
-        n_reps=10_000 if config.n_reps is None else config.n_reps,
-    )
+    plan = make_plan("gof", config.options, config.n_reps)
     result = gof.simulate_uniform_gof(plan, config.root_seed)
 
     tables, figs = [], []
@@ -367,8 +353,9 @@ _RUNNERS = {
 }
 
 
-def run_and_report(config: RunConfig) -> list[ExperimentReport]:
-    """Run the configured subcommand(s) and write tables/figures/summaries."""
+def run_and_report(config: RunConfig) -> list[dict]:
+    """Run the configured subcommand(s), write their tables, figures and
+    summaries, and return the summary documents written."""
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     probe = out / ".writable"
@@ -379,34 +366,26 @@ def run_and_report(config: RunConfig) -> list[ExperimentReport]:
         raise OSError(f"output directory {out} is not writable: {exc}") from exc
 
     names = list(_RUNNERS) if config.subcommand == "all" else [config.subcommand]
-    reports = []
+    docs = []
     for name in names:
         tables, figs, summary, warnings = _RUNNERS[name](config, out)
-        report = ExperimentReport(
-            subcommand=name,
-            version=__version__,
-            root_seed=config.root_seed,
-            timestamp=datetime.now(timezone.utc).isoformat(),
-            tables=tables,
-            figures=figs,
-            summary=summary,
-            warnings=warnings,
-        )
         doc = {
             "tool": "statlab",
-            "version": report.version,
+            "version": __version__,
             "subcommand": name,
-            "root_seed": report.root_seed,
-            "timestamp": report.timestamp,
+            "root_seed": config.root_seed,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
             "tables": tables,
             "figures": figs,
             "warnings": warnings,
             "summary": summary,
         }
-        (out / f"{name}_summary.json").write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        )
+        try:
+            text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:  # a NaN or infinity, which JSON cannot hold
+            raise ValueError(f"{name} summary: {exc}") from exc
+        (out / f"{name}_summary.json").write_text(text + "\n")
         for w in warnings:
             print(f"warning: {w}", file=sys.stderr)
-        reports.append(report)
-    return reports
+        docs.append(doc)
+    return docs

@@ -1,9 +1,21 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from statlab.cli import main, parse_config
+from statlab import report
+from statlab.cli import OPTIONS, main, parse_config
 from statlab.report import RunConfig, run_and_report
+
+# A valid value of every option: its flag text (None for a switch) and the
+# same value as a config file holds it.
+OPTION_VALUES = {
+    "seed": ("7", 7), "reps": ("50", 50), "out": ("o", "o"),
+    "figures": (None, True), "workers": ("2", 2), "p": ("0.1", 0.1),
+    "N": ("6000", 6000), "k_range": ("3:6", [3, 6]), "burn_in": ("500", 500),
+    "samples": ("700", 700), "proposal_sd": ("0.5", 0.5),
+    "sizes": ("32,48", [32, 48]), "sigma": ("2.5", 2.5), "bins": ("4", 4),
+}
 
 
 class TestParseConfig:
@@ -69,6 +81,9 @@ class TestParseConfig:
         (["pooling", "--k-range", "7:7"], "--k-range"),
         (["pooling", "--k-range", "10:2"], "--k-range"),
         (["pooling", "--N", "97"], "--N"),
+        (["estimator", "--sizes", "100,100", "--reps", "10"], "--sizes"),
+        (["gof", "--sizes", "16,16"], "--sizes"),
+        (["mh", "--reps", "5"], "--reps"),
     ])
     def test_invalid_option_is_usage_error(self, argv, flag, tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path)]) == 2
@@ -144,6 +159,42 @@ class TestParseConfig:
         assert config.options == {"bins": 4}
         config = parse_config(["all", "--config", str(cfg)])
         assert config.options == {}
+        # mh takes no --reps, but a file may hold one for the other studies
+        cfg.write_text(json.dumps({"reps": 5, "samples": 10}))
+        config = parse_config(["mh", "--config", str(cfg)])
+        assert config.n_reps is None and config.options == {"samples": 10}
+
+    @pytest.mark.parametrize("key, subcommand", [
+        (key, sub) for key, option in OPTIONS.items() for sub in option.subcommands])
+    def test_flag_and_config_file_agree(self, key, subcommand, tmp_path,
+                                        monkeypatch):
+        monkeypatch.delenv("STATLAB_OUT", raising=False)
+        text, value = OPTION_VALUES[key]
+        flag = "--" + key.replace("_", "-")
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps({key: value}))
+        from_flag = parse_config([subcommand, flag, *([text] if text else [])])
+        from_file = parse_config([subcommand, "--config", str(cfg)])
+        assert from_flag == from_file
+        # every option but --workers reaches the RunConfig
+        assert (from_flag != parse_config([subcommand])) == (key != "workers")
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["gof", "--reps", "20000", "--figures"],
+         RunConfig("gof", 20070420, 20000, Path("statlab_out"), True, {})),
+        (["estimator", "--reps", "5000", "--figures"],
+         RunConfig("estimator", 20070420, 5000, Path("statlab_out"), True, {})),
+        (["pooling", "--N", "20000", "--k-range", "2:10", "--reps", "2000",
+          "--workers", "2", "--figures"],
+         RunConfig("pooling", 20070420, 2000, Path("statlab_out"), True,
+                   {"N": 20000, "k_range": (2, 10)})),
+        (["mh", "--burn-in", "1000000", "--samples", "2000000", "--figures"],
+         RunConfig("mh", 20070420, None, Path("statlab_out"), True,
+                   {"burn_in": 1000000, "samples": 2000000})),
+    ])
+    def test_benchmark_argv(self, argv, expected, monkeypatch):
+        monkeypatch.delenv("STATLAB_OUT", raising=False)
+        assert parse_config(argv) == expected
 
     def test_range_and_sizes_parsing(self):
         config = parse_config(["pooling", "--k-range", "2:10"])
@@ -218,6 +269,19 @@ class TestRunAndReport:
         with pytest.raises(ValueError):
             run_and_report(config)
 
+    def test_non_finite_summary_is_runtime_error(self, tmp_path, monkeypatch,
+                                                 capsys):
+        run_gof = report._RUNNERS["gof"]
+
+        def nan_summary(config, out):
+            tables, figs, summary, warnings = run_gof(config, out)
+            return tables, figs, {**summary, "mean_statistic": float("nan")}, warnings
+
+        monkeypatch.setitem(report._RUNNERS, "gof", nan_summary)
+        assert main(["gof", "--reps", "10", "--out", str(tmp_path)]) == 1
+        assert "gof summary" in capsys.readouterr().err
+        assert not (tmp_path / "gof_summary.json").exists()
+
     def test_unwritable_output_dir_fails_with_runtime_error(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -228,8 +292,8 @@ class TestRunAndReport:
         config = RunConfig(
             subcommand="all", root_seed=3, n_reps=50, output_dir=tmp_path
         )
-        config_reports = run_and_report(config)
-        assert [r.subcommand for r in config_reports] == [
+        docs = run_and_report(config)
+        assert [doc["subcommand"] for doc in docs] == [
             "pooling", "mh", "estimator", "gof"
         ]
         for name in ("pooling", "mh", "estimator", "gof"):

@@ -7,6 +7,7 @@ from statlab.pooling import (
     POOLING_HELPS_INTEGER_BELOW,
     ContinuousOptimum,
     PoolingDesign,
+    PoolingPlan,
     cost_curve,
     expected_tests,
     optimal_pool_size_continuous,
@@ -274,3 +275,25 @@ class TestCostCurve:
     def test_bad_range(self):
         with pytest.raises(ValueError):
             cost_curve(100, 0.05, 10, 2)
+
+
+class TestPoolingPlan:
+    def test_candidates_are_the_divisors_in_range(self):
+        assert PoolingPlan().candidates == [2, 4, 5, 8, 10]
+        assert PoolingPlan(N=97 * 3, k_range=(2, 4)).candidates == [3]
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"p": 0.0}, "p"),
+        ({"p": 1.0}, "p"),
+        ({"p": float("nan")}, "p"),
+        ({"k_range": (7, 7)}, "k_range"),
+        ({"k_range": (1, 4)}, "k_range"),
+        ({"k_range": (2, 3, 4)}, "k_range"),
+        ({"N": 8, "k_range": (2, 9)}, "k_range"),
+        ({"N": 97}, "N"),
+        ({"n_reps": 0}, "n_reps"),
+    ])
+    def test_invalid_plan_message_starts_with_its_field(self, kwargs, field):
+        with pytest.raises(ValueError) as excinfo:
+            PoolingPlan(**kwargs)
+        assert str(excinfo.value).split()[0] == field

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from statlab import gof, mh, pooling, report
+from statlab import estimators, gof, mh, pooling, report
 from statlab.report import RunConfig, run_and_report, write_table
 
 
@@ -74,6 +74,17 @@ class TestWriteTable:
     def test_mixed_column_rejected(self, tmp_path):
         with pytest.raises(TypeError):
             write_table(tmp_path / "t.csv", {"a": [1, "x", None]})
+
+
+def test_make_plan_renames_keys_and_keeps_plan_defaults():
+    assert report.make_plan("gof", {}, None) == gof.GofPlan()
+    assert report.make_plan("pooling", {"k_range": (3, 6)}, 7) == (
+        pooling.PoolingPlan(k_range=(3, 6), n_reps=7))
+    assert report.make_plan("estimator", {"sizes": (8, 9), "sigma": 2.0}, 5) == (
+        estimators.EstimatorStudyPlan(sample_sizes=(8, 9), true_sd=2.0, n_reps=5))
+    # the chain takes no replicate count
+    assert report.make_plan("mh", {"samples": 5, "burn_in": 1}, 50) == (
+        mh.MhConfig(n_samples=5, burn_in=1))
 
 
 def test_run_mh_bins_the_reference_once(tmp_path, monkeypatch):
