@@ -70,6 +70,19 @@ POOLING_RUNS = [
     }),
 ]
 
+# (flags, gof tables) for a non-default gof run: four cells (df = 3) and a
+# sample size, 8, of only two counts per cell.
+GOF_RUNS = [
+    (["--bins", "4", "--sizes", "8,40", "--reps", "300"], {
+        "gof_statistics.csv":
+            "b1299d9d22a9892e5d72fbe90b8700afc23598d04d67859f7a32762337968783",
+        "gof_overlay_n8.csv":
+            "3f34f67cf07914c7dfb78c8757bf9f24e3f06051e5360d6c3c0fa3f50fd8c218",
+        "gof_overlay_n40.csv":
+            "9f970b5c22caa9aef622831c71a50a9912a64667db75b4543c5ae497b6c74f9e",
+    }),
+]
+
 # mh_true_density.csv depends on no chain setting, so one digest covers all.
 MH_TRUE_DENSITY = "c60aebabf934808b56771b6d9bb53cc424b8da48ed79487074317eebf14d5add"
 
@@ -119,3 +132,8 @@ def test_default_tables(subcommand, tmp_path):
 @pytest.mark.parametrize("flags, tables", POOLING_RUNS)
 def test_pooling_tables(flags, tables, tmp_path):
     _check_tables(["pooling", *flags], tables, tmp_path)
+
+
+@pytest.mark.parametrize("flags, tables", GOF_RUNS)
+def test_gof_tables(flags, tables, tmp_path):
+    _check_tables(["gof", *flags], tables, tmp_path)
