@@ -13,6 +13,7 @@ from statlab import pooling
 
 N, p = 5000, 0.05
 SEED = 20070420
+REPS = 10_000
 
 # --- analytic track ---------------------------------------------------------
 print(f"Population N={N}, prevalence p={p}")
@@ -34,12 +35,12 @@ print(f"Savings factor at k={best_k}: "
       f"{pooling.savings_ratio(best_k, p):.2f}x fewer tests than individual\n")
 
 # --- simulation track -------------------------------------------------------
-print("Simulated mean total tests (10,000 replicates each):")
+print(f"Simulated mean total tests ({REPS:,} replicates each):")
 for k in candidates:
     design = pooling.PoolingDesign(N=N, k=k, n=N // k, p=p)
-    cost = pooling.simulate_pooling(design, 10_000, SEED,
+    cost = pooling.simulate_pooling(design, REPS, SEED,
                                     experiment_id=f"demo-k{k}")
-    se = cost.simulated_sd / np.sqrt(cost.n_reps)
+    se = cost.simulated_sd / np.sqrt(REPS)
     gap = cost.simulated_mean - cost.expected_tests_analytic
     print(f"  k={k:2d}: {cost.simulated_mean:8.1f}  "
           f"(analytic {cost.expected_tests_analytic:8.1f}, "

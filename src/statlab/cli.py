@@ -17,8 +17,12 @@ from .report import PLAN_FIELDS, RunConfig, make_plan, run_and_report
 
 
 def _parse_ints(sep: str) -> Callable[[str], tuple[int, ...]]:
-    def integers(text: str) -> tuple[int, ...]:  # argparse names it in errors
-        return tuple(int(s) for s in text.split(sep))
+    def integers(text: str) -> tuple[int, ...]:
+        try:
+            return tuple(int(s) for s in text.split(sep))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected integers separated by {sep!r}, got {text!r}") from None
     return integers
 
 
@@ -89,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_config(parser: argparse.ArgumentParser, path: Path) -> dict:
     """The config file's values as their flags give them; an unknown key or a
-    value not of its key's JSON type (a bool is no number) is a usage error."""
+    value not of its key's JSON type (a bool is no number), or an integer too
+    large for a number key, is a usage error."""
     values = json.loads(Path(path).read_text())
     if not isinstance(values, dict):
         parser.error("config file must hold a JSON object")
@@ -102,7 +107,10 @@ def _read_config(parser: argparse.ArgumentParser, path: Path) -> dict:
                 type(v) is item or item is float and type(v) is int for v in items)):
             parser.error(f"config file: {key!r} must be "
                          f"{_JSON_TYPE_NAMES[kind]}, got {value!r}")
-        values[key] = tuple(value) if kind is list else kind(value)
+        try:
+            values[key] = tuple(value) if kind is list else kind(value)
+        except OverflowError:
+            parser.error(f"config file: {key!r} is out of range for a number")
     return values
 
 

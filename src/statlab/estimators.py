@@ -43,8 +43,6 @@ class EstimatorStudyPlan:
 
 @dataclass(frozen=True)
 class EstimatorStudyResult:
-    plan: EstimatorStudyPlan
-    root_seed: int
     # keyed by (estimator name, sample size)
     distributions: Mapping[tuple[str, int], np.ndarray]
     summaries: Mapping[tuple[str, int], SummaryStats] = field(default_factory=dict)
@@ -104,8 +102,6 @@ def run_estimator_study(
         distributions[("s", n)] = study["s"]
     summaries = {key: summarize(vec) for key, vec in distributions.items()}
     return EstimatorStudyResult(
-        plan=plan,
-        root_seed=int(root_seed),
         distributions=distributions,
         summaries=summaries,
     )

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import simkit
-from .numerics import integrate_interval
+from .numerics import histogram_vs_reference, integrate_interval
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,6 @@ class GofPlan:
 
 @dataclass(frozen=True)
 class GofResult:
-    plan: GofPlan
-    root_seed: int
     df: int
     statistics: Mapping[int, np.ndarray]  # keyed by sample size
     means: Mapping[int, float] = field(default_factory=dict)
@@ -107,8 +105,6 @@ def simulate_uniform_gof(plan: GofPlan, root_seed: int) -> GofResult:
         statistics[n] = study["value"]
     means = {n: float(v.mean()) for n, v in statistics.items()}
     return GofResult(
-        plan=plan,
-        root_seed=int(root_seed),
         df=plan.bins - 1,
         statistics=statistics,
         means=means,
@@ -130,6 +126,11 @@ def chisq_density(x: float, df: int) -> float:
                     - half * math.log(2.0) - math.lgamma(half))
 
 
+# The window on which the statistics' histogram is set beside chi-square:
+# [0, 20] in 40 bins of width 0.5.
+EDGES = np.linspace(0.0, 20.0, 41)
+
+
 def binned_chisq_density(df: int, edges: np.ndarray) -> np.ndarray:
     """Average chi-square density over each comparison bin.
 
@@ -147,21 +148,9 @@ def binned_chisq_density(df: int, edges: np.ndarray) -> np.ndarray:
     return avgs
 
 
-def shape_distance(
-    statistics: Sequence[float],
-    df: int,
-    comparison_bins: int = 40,
-    hi: float = 20.0,
-) -> float:
-    """Sup over comparison bins of |empirical density - bin-averaged chi-square|.
-
-    Comparison window is [0, hi] split into equal bins; statistics beyond hi
-    count in the denominator but not in any bin.
-    """
-    stats = np.asarray(statistics, dtype=float)
-    if stats.size == 0:
-        raise ValueError("statistics must be non-empty")
-    counts, edges = np.histogram(stats, bins=comparison_bins, range=(0.0, hi))
-    width = hi / comparison_bins
-    empirical = counts / (stats.size * width)
-    return float(np.max(np.abs(empirical - binned_chisq_density(df, edges))))
+def shape_distance(statistics: Sequence[float], df: int) -> float:
+    """Sup over the bins of ``EDGES`` of |empirical density - bin-averaged
+    chi-square|; statistics beyond the window count in the denominator only
+    (``numerics.histogram_vs_reference``)."""
+    reference = binned_chisq_density(df, EDGES)
+    return histogram_vs_reference(statistics, EDGES, reference)[1]

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import integrate_interval, integrate_real_line
+from .numerics import (histogram_vs_reference, integrate_interval,
+                       integrate_real_line)
 from .simkit import RngStream, normals_from_uniforms
 
 
@@ -71,25 +72,7 @@ class ChainResult:
     samples: np.ndarray
     acceptance_rate: float
     config: MhConfig
-    root_seed: int
     accepted: int = field(repr=False, default=0)
-
-
-def acceptance_prob(x: float, y: float) -> float:
-    """min{1, g(y)/g(x)} -- the proposal is symmetric, so its terms cancel."""
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError("x and y must be finite")
-    return min(1.0, math.exp(min(0.0, log_unnormalized(y) - log_unnormalized(x))))
-
-
-def mh_step(x: float, stream: RngStream, sd: float = 1.0) -> tuple[float, bool]:
-    """One Metropolis-Hastings transition; consumes exactly two stream draws."""
-    y = stream.normal(mean=x, sd=sd)
-    u = stream.uniform()
-    log_alpha = log_unnormalized(y) - log_unnormalized(x)
-    if math.log(max(u, 1e-300)) < log_alpha:
-        return y, True
-    return x, False
 
 
 # Steps drawn at once; bounds the chain's working set besides the samples
@@ -101,13 +84,13 @@ def run_chain(config: MhConfig, root_seed: int,
               experiment_id: str = "mh-chain") -> ChainResult:
     """Burn in, then collect n_samples states of the random-walk chain.
 
-    Draw order per step is (proposal normal, acceptance uniform), identical to
-    repeated mh_step calls on the same stream.  The draws are taken
-    ``_CHUNK_STEPS`` steps at a time and turned into Python floats, so besides
-    the ``n_samples`` array the chain holds one chunk's draws (about 10 MB)
-    whatever its length.  The step rule is written out in the loops, which
-    call no Python function per step; burn-in steps are neither counted nor
-    stored.
+    Each step takes two stream draws, a proposal normal and then an
+    acceptance uniform, and moves to the proposal when the uniform's log is
+    below the log density ratio.  The draws are taken ``_CHUNK_STEPS`` steps
+    at a time and turned into Python floats, so besides the ``n_samples``
+    array the chain holds one chunk's draws (about 10 MB) whatever its
+    length.  The step rule is written out in the loops, which call no Python
+    function per step; burn-in steps are neither counted nor stored.
     """
     stream = RngStream(root_seed, experiment_id, 0)
     sd = config.proposal_sd
@@ -143,9 +126,13 @@ def run_chain(config: MhConfig, root_seed: int,
         samples=samples,
         acceptance_rate=accepted / config.n_samples,
         config=config,
-        root_seed=int(root_seed),
         accepted=accepted,
     )
+
+
+# The window on which a chain's histogram is set beside the target: [-3, 3]
+# in 40 bins.
+EDGES = np.linspace(-3.0, 3.0, 41)
 
 
 def binned_true_density(density: TargetDensity, edges: np.ndarray) -> np.ndarray:
@@ -159,46 +146,18 @@ def binned_true_density(density: TargetDensity, edges: np.ndarray) -> np.ndarray
     return avgs
 
 
-@dataclass(frozen=True)
-class DensityHistogram:
-    """A sample's histogram beside the bin-averaged target density."""
-
-    edges: np.ndarray
-    empirical: np.ndarray
-    true_avg: np.ndarray
-    distance: float  # sup over bins of |empirical - true_avg|
-
-
-def density_histogram(
-    samples: np.ndarray,
-    density: TargetDensity,
-    bins: int = 40,
-    lo: float = -3.0,
-    hi: float = 3.0,
-) -> DensityHistogram:
-    """Empirical density of the samples on [lo, hi] against the target's.
-
-    The empirical density uses the full sample count in the denominator, so
-    mass outside [lo, hi] counts against the in-range histogram.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise ValueError("samples must be non-empty")
-    if bins < 5:
-        raise ValueError("need at least 5 bins")
-    counts, edges = np.histogram(samples, bins=bins, range=(lo, hi))
-    empirical = counts / (samples.size * (edges[1] - edges[0]))
-    true_avg = binned_true_density(density, edges)
-    return DensityHistogram(edges=edges, empirical=empirical, true_avg=true_avg,
-                            distance=float(np.max(np.abs(empirical - true_avg))))
-
-
 def density_distance(
     samples: np.ndarray,
     density: TargetDensity,
-    bins: int = 40,
-    lo: float = -3.0,
-    hi: float = 3.0,
+    bins: int = len(EDGES) - 1,
+    lo: float = EDGES[0],
+    hi: float = EDGES[-1],
 ) -> float:
-    """Sup over bins of |empirical density - bin-averaged true density|."""
-    return density_histogram(samples, density, bins, lo, hi).distance
+    """Sup over ``bins`` equal bins on [lo, hi] of |empirical density -
+    bin-averaged target density|; mass outside [lo, hi] counts against the
+    in-range histogram (``numerics.histogram_vs_reference``)."""
+    if bins < 5:
+        raise ValueError("need at least 5 bins")
+    edges = np.linspace(lo, hi, bins + 1)
+    reference = binned_true_density(density, edges)
+    return histogram_vs_reference(samples, edges, reference)[1]

@@ -1,4 +1,5 @@
-"""Shared numerical kernels: quadrature, 1-D minimization, root finding, quantiles."""
+"""Shared numerical kernels: quadrature, 1-D minimization, root finding,
+quantiles, and a sample's histogram beside a reference density."""
 
 from __future__ import annotations
 
@@ -210,6 +211,25 @@ def solve_root(
         else:
             lo, flo = mid, fmid
     return 0.5 * (lo + hi)
+
+
+def histogram_vs_reference(
+    samples: Sequence[float], edges: np.ndarray, reference: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Empirical density of the samples on equal bins beside a reference.
+
+    ``edges`` are the bins' equally spaced edges and ``reference`` the
+    reference density's average over each bin.  Each bin's count is divided
+    by the whole sample size times the bin width, so samples outside
+    [edges[0], edges[-1]] count in the denominator only.  Returns the
+    empirical densities and the sup over bins of |empirical - reference|.
+    """
+    x = np.asarray(samples, dtype=float)
+    if x.size == 0:
+        raise ValueError("samples must be non-empty")
+    counts, _ = np.histogram(x, bins=len(edges) - 1, range=(edges[0], edges[-1]))
+    empirical = counts / (x.size * (edges[1] - edges[0]))
+    return empirical, float(np.max(np.abs(empirical - reference)))
 
 
 def quantile_type7(

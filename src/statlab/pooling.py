@@ -67,7 +67,6 @@ class PoolingCost:
     expected_tests_analytic: float
     simulated_mean: float
     simulated_sd: float
-    n_reps: int
     savings_ratio: float
 
 
@@ -216,7 +215,6 @@ def simulate_pooling(
         expected_tests_analytic=analytic,
         simulated_mean=stats.mean,
         simulated_sd=stats.sd,
-        n_reps=n_reps,
         savings_ratio=design.N / analytic,
     )
 

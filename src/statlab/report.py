@@ -1,8 +1,8 @@
 """Report emission: CSV tables, JSON summaries, and SVG figures per subcommand.
 
-Every number written to a table comes straight from an operation in the
-library modules; the reporter only formats.  Rerunning with the same
-configuration produces byte-identical tables.
+Runners compute and return tables (file name -> columns), figures (file name
+-> SVG text), a summary and warnings; ``run_and_report`` alone writes them.
+Rerunning with the same configuration produces byte-identical tables.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import __version__, estimators, figures, gof, mh, pooling
+from . import __version__, estimators, figures, gof, mh, numerics, pooling
 
 
 @dataclass
@@ -84,7 +84,7 @@ def write_table(path: Path, columns: dict[str, Sequence]) -> None:
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def run_pooling(config: RunConfig, out: Path):
+def run_pooling(config: RunConfig):
     plan = make_plan("pooling", config.options, config.n_reps)
     p, N, n_reps, candidates = plan.p, plan.N, plan.n_reps, plan.candidates
     best_k, best_cost = pooling.optimal_pool_size_integer(N, p, candidates)
@@ -111,34 +111,26 @@ def run_pooling(config: RunConfig, out: Path):
         )
         for k in candidates
     ]
-    tables, figs = [], []
-    t1 = out / "pooling_candidates.csv"
-    write_table(t1, {
-        "k": candidates,
-        "n_pools": [N // k for k in candidates],
-        "expected_tests_analytic": [c.expected_tests_analytic for c in costs],
-        "simulated_mean": [c.simulated_mean for c in costs],
-        "simulated_sd": [c.simulated_sd for c in costs],
-        "savings_ratio": [c.savings_ratio for c in costs],
-    })
-    tables.append(t1.name)
-
     ks, curve = pooling.cost_curve(N, p, *plan.k_range)
-    t2 = out / "pooling_cost_curve.csv"
-    write_table(t2, {"k": ks, "expected_tests": curve})
-    tables.append(t2.name)
-
+    tables = {
+        "pooling_candidates.csv": {
+            "k": candidates,
+            "n_pools": [N // k for k in candidates],
+            "expected_tests_analytic": [c.expected_tests_analytic for c in costs],
+            "simulated_mean": [c.simulated_mean for c in costs],
+            "simulated_sd": [c.simulated_sd for c in costs],
+            "savings_ratio": [c.savings_ratio for c in costs],
+        },
+        "pooling_cost_curve.csv": {"k": ks, "expected_tests": curve},
+    }
+    figs = {}
     if config.emit_figures:
-        fig = out / "pooling_cost_curve.svg"
-        fig.write_text(
-            figures.line_chart(
-                [("expected tests", list(ks), list(curve))],
-                title=f"Expected tests vs pool size (N={N}, p={p})",
-                xlabel="pool size k",
-                ylabel="expected number of tests",
-            )
+        figs["pooling_cost_curve.svg"] = figures.line_chart(
+            [("expected tests", list(ks), list(curve))],
+            title=f"Expected tests vs pool size (N={N}, p={p})",
+            xlabel="pool size k",
+            ylabel="expected number of tests",
         )
-        figs.append(fig.name)
 
     summary = {
         "p": p,
@@ -170,7 +162,7 @@ def _variance(x: np.ndarray) -> float:
     return math.fsum(squares) / len(x)
 
 
-def run_mh(config: RunConfig, out: Path):
+def run_mh(config: RunConfig):
     mh_config = make_plan("mh", config.options, config.n_reps)
     warnings = []
     defaults = mh.MhConfig()
@@ -182,41 +174,33 @@ def run_mh(config: RunConfig, out: Path):
         )
 
     density = mh.TargetDensity()
-    c = density.normalize()
     result = mh.run_chain(mh_config, config.root_seed)
-    hist = mh.density_histogram(result.samples, density)
-
-    tables, figs = [], []
-    t1 = out / "mh_histogram.csv"
-    write_table(t1, {
-        "bin_lo": hist.edges[:-1],
-        "bin_hi": hist.edges[1:],
-        "empirical_density": hist.empirical,
-        "true_density_bin_avg": hist.true_avg,
-    })
-    tables.append(t1.name)
-
-    grid = np.linspace(-3.0, 3.0, 201)
-    t2 = out / "mh_true_density.csv"
+    true_avg = mh.binned_true_density(density, mh.EDGES)
+    empirical, distance = numerics.histogram_vs_reference(
+        result.samples, mh.EDGES, true_avg)
+    grid = np.linspace(mh.EDGES[0], mh.EDGES[-1], 201)
     pdf = [density.pdf(y) for y in grid]
-    write_table(t2, {"y": grid, "pdf": pdf})
-    tables.append(t2.name)
-
+    tables = {
+        "mh_histogram.csv": {
+            "bin_lo": mh.EDGES[:-1],
+            "bin_hi": mh.EDGES[1:],
+            "empirical_density": empirical,
+            "true_density_bin_avg": true_avg,
+        },
+        "mh_true_density.csv": {"y": grid, "pdf": pdf},
+    }
+    figs = {}
     if config.emit_figures:
-        fig = out / "mh_density.svg"
-        fig.write_text(
-            figures.histogram_chart(
-                list(hist.edges),
-                list(hist.empirical),
-                overlay=("true density", list(grid), pdf),
-                title="Metropolis-Hastings samples vs true density",
-                xlabel="y",
-            )
+        figs["mh_density.svg"] = figures.histogram_chart(
+            list(mh.EDGES),
+            list(empirical),
+            overlay=("true density", list(grid), pdf),
+            title="Metropolis-Hastings samples vs true density",
+            xlabel="y",
         )
-        figs.append(fig.name)
 
     summary = {
-        "normalizing_constant": c,
+        "normalizing_constant": density.normalize(),
         "proposal_sd": mh_config.proposal_sd,
         "burn_in": mh_config.burn_in,
         "n_samples": mh_config.n_samples,
@@ -224,40 +208,35 @@ def run_mh(config: RunConfig, out: Path):
         "sample_mean": float(result.samples.mean()),
         "sample_variance": _variance(result.samples),
         "target_variance_quadrature": density.second_moment(),
-        "density_distance": hist.distance,
+        "density_distance": distance,
     }
     return tables, figs, summary, warnings
 
 
-def run_estimator(config: RunConfig, out: Path):
+def run_estimator(config: RunConfig):
     plan = make_plan("estimator", config.options, config.n_reps)
     result = estimators.run_estimator_study(plan, config.root_seed)
-
-    tables, figs = [], []
-    t1 = out / "estimator_distributions.csv"
     dists = result.distributions
-    write_table(t1, {
-        "estimator": np.repeat([name for name, _ in dists], plan.n_reps),
-        "n": np.repeat([n for _, n in dists], plan.n_reps),
-        "replicate": np.tile(np.arange(plan.n_reps), len(dists)),
-        "estimate": np.concatenate(list(dists.values())),
-    })
-    tables.append(t1.name)
-
-    t2 = out / "estimator_summary.csv"
     keys, stats = list(result.summaries), list(result.summaries.values())
-    write_table(t2, {
-        "estimator": [name for name, _ in keys],
-        "n": [n for _, n in keys],
-        "mean": [s.mean for s in stats],
-        "sd": [s.sd for s in stats],
-        "q1": [s.q1 for s in stats],
-        "median": [s.median for s in stats],
-        "q3": [s.q3 for s in stats],
-        "iqr": [s.iqr for s in stats],
-    })
-    tables.append(t2.name)
-
+    tables = {
+        "estimator_distributions.csv": {
+            "estimator": np.repeat([name for name, _ in dists], plan.n_reps),
+            "n": np.repeat([n for _, n in dists], plan.n_reps),
+            "replicate": np.tile(np.arange(plan.n_reps), len(dists)),
+            "estimate": np.concatenate(list(dists.values())),
+        },
+        "estimator_summary.csv": {
+            "estimator": [name for name, _ in keys],
+            "n": [n for _, n in keys],
+            "mean": [s.mean for s in stats],
+            "sd": [s.sd for s in stats],
+            "q1": [s.q1 for s in stats],
+            "median": [s.median for s in stats],
+            "q3": [s.q3 for s in stats],
+            "iqr": [s.iqr for s in stats],
+        },
+    }
+    figs = {}
     if config.emit_figures:
         groups = [
             (f"{name} (n={n})",
@@ -265,16 +244,12 @@ def run_estimator(config: RunConfig, out: Path):
               "q3": s.q3, "hi": float(vec.max())})
             for ((name, n), vec), s in zip(dists.items(), stats)
         ]
-        fig = out / "estimator_box.svg"
-        fig.write_text(
-            figures.box_chart(
-                groups,
-                title="Sampling distributions of the scale estimators",
-                ylabel="estimate of sigma",
-                reference=plan.true_sd,
-            )
+        figs["estimator_box.svg"] = figures.box_chart(
+            groups,
+            title="Sampling distributions of the scale estimators",
+            ylabel="estimate of sigma",
+            reference=plan.true_sd,
         )
-        figs.append(fig.name)
 
     summary = {
         "true_sd": plan.true_sd,
@@ -286,54 +261,39 @@ def run_estimator(config: RunConfig, out: Path):
     return tables, figs, summary, []
 
 
-def run_gof(config: RunConfig, out: Path):
+def run_gof(config: RunConfig):
     plan = make_plan("gof", config.options, config.n_reps)
     result = gof.simulate_uniform_gof(plan, config.root_seed)
-
-    tables, figs = [], []
-    t1 = out / "gof_statistics.csv"
-    stats = result.statistics
-    write_table(t1, {
-        "n": np.repeat(list(stats), plan.n_reps),
-        "replicate": np.tile(np.arange(plan.n_reps), len(stats)),
-        "statistic": np.concatenate(list(stats.values())),
-    })
-    tables.append(t1.name)
-
-    edges = np.linspace(0.0, 20.0, 41)
-    ref_avg = gof.binned_chisq_density(result.df, edges)
+    tables = {
+        "gof_statistics.csv": {
+            "n": np.repeat(list(result.statistics), plan.n_reps),
+            "replicate": np.tile(np.arange(plan.n_reps), len(result.statistics)),
+            "statistic": np.concatenate(list(result.statistics.values())),
+        },
+    }
+    figs = {}
+    # one reference for every size; the distances are gof.shape_distance's
+    ref_avg = gof.binned_chisq_density(result.df, gof.EDGES)
+    grid = np.linspace(gof.EDGES[0], gof.EDGES[-1], 201)
+    pdf = [gof.chisq_density(x, result.df) for x in grid]
     distances = {}
     for n, vec in result.statistics.items():
-        counts, _ = np.histogram(vec, bins=40, range=(0.0, 20.0))
-        empirical = counts / (vec.size * 0.5)
-        t = out / f"gof_overlay_n{n}.csv"
-        write_table(t, {
-            "bin_lo": edges[:-1],
-            "bin_hi": edges[1:],
+        empirical, distances[n] = numerics.histogram_vs_reference(
+            vec, gof.EDGES, ref_avg)
+        tables[f"gof_overlay_n{n}.csv"] = {
+            "bin_lo": gof.EDGES[:-1],
+            "bin_hi": gof.EDGES[1:],
             "empirical_density": empirical,
             "chisq_density_bin_avg": ref_avg,
-        })
-        tables.append(t.name)
-        # gof.shape_distance(vec, df) bit for bit: the same edges and empirical
-        # densities, with the reference computed once for every size
-        distances[n] = float(np.max(np.abs(empirical - ref_avg)))
+        }
         if config.emit_figures:
-            fig = out / f"gof_overlay_n{n}.svg"
-            grid = np.linspace(0.0, 20.0, 201)
-            fig.write_text(
-                figures.histogram_chart(
-                    list(edges),
-                    list(empirical),
-                    overlay=(
-                        f"chi-square df={result.df}",
-                        list(grid),
-                        [gof.chisq_density(x, result.df) for x in grid],
-                    ),
-                    title=f"Null distribution of the Pearson statistic (n={n})",
-                    xlabel="statistic",
-                )
+            figs[f"gof_overlay_n{n}.svg"] = figures.histogram_chart(
+                list(gof.EDGES),
+                list(empirical),
+                overlay=(f"chi-square df={result.df}", list(grid), pdf),
+                title=f"Null distribution of the Pearson statistic (n={n})",
+                xlabel="statistic",
             )
-            figs.append(fig.name)
 
     summary = {
         "bins": plan.bins,
@@ -368,15 +328,19 @@ def run_and_report(config: RunConfig) -> list[dict]:
     names = list(_RUNNERS) if config.subcommand == "all" else [config.subcommand]
     docs = []
     for name in names:
-        tables, figs, summary, warnings = _RUNNERS[name](config, out)
+        tables, figs, summary, warnings = _RUNNERS[name](config)
+        for table, columns in tables.items():
+            write_table(out / table, columns)
+        for fig, svg in figs.items():
+            (out / fig).write_text(svg)
         doc = {
             "tool": "statlab",
             "version": __version__,
             "subcommand": name,
             "root_seed": config.root_seed,
             "timestamp": datetime.now(timezone.utc).isoformat(),
-            "tables": tables,
-            "figures": figs,
+            "tables": list(tables),
+            "figures": list(figs),
             "warnings": warnings,
             "summary": summary,
         }

@@ -17,25 +17,16 @@ import numpy as np
 from scipy.special import ndtri
 
 
-def _philox_key(root_seed: int, experiment_id: str, replicate_index: int) -> int:
-    """Stable 128-bit key from the stream coordinates (SHA-256 based)."""
-    material = b"%d\x00%s\x00%d" % (
-        root_seed,
-        experiment_id.encode("utf-8"),
-        replicate_index,
-    )
-    digest = hashlib.sha256(material).digest()
-    return int.from_bytes(digest[:16], "little")
-
-
 def _block_keys(
     root_seed: int, experiment_id: str, start: int, rows: int
 ) -> np.ndarray:
-    """``_philox_key`` of replicates ``start .. start + rows - 1``, as words.
+    """Philox keys of replicates ``start .. start + rows - 1``, as words.
 
-    Row ``r`` holds the key's low and high 64-bit words.  The coordinates'
-    common prefix is hashed once and each replicate index is hashed onto a
-    copy of it, which gives the same digests for less work per row.
+    Replicate ``i``'s 128-bit key is the first 16 bytes, little-endian, of
+    the SHA-256 digest of root_seed and i in decimal and experiment_id in
+    UTF-8, joined by NUL bytes; row ``r`` holds its low and high 64-bit words.
+    The coordinates' common prefix is hashed once and each replicate index is
+    hashed onto a copy of it.
     """
     prefix = hashlib.sha256(
         b"%d\x00%s\x00" % (root_seed, experiment_id.encode("utf-8"))
@@ -139,8 +130,8 @@ class RngStream:
         self.root_seed = int(root_seed)
         self.experiment_id = experiment_id
         self.replicate_index = int(replicate_index)
-        key = _philox_key(self.root_seed, experiment_id, self.replicate_index)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        key = _block_keys(self.root_seed, experiment_id, self.replicate_index, 1)
+        self._gen = np.random.Generator(np.random.Philox(key=key[0]))
 
     def raw(self, n: int) -> np.ndarray:
         """n uniforms on [0, 1), the primitive every other draw is built from."""

@@ -132,6 +132,10 @@ class TestParseConfig:
         ({"out": 5}, "out"),
         ({"out": None}, "out"),
         ({"out": ["a"]}, "out"),
+        # integers too large for a float
+        ({"sigma": 10**400}, "sigma"),
+        ({"p": -(10**400)}, "p"),
+        ({"proposal_sd": 10**400}, "proposal_sd"),
     ])
     def test_bad_config_file_key_is_usage_error(self, values, key, tmp_path,
                                                 capsys):
@@ -195,6 +199,20 @@ class TestParseConfig:
     def test_benchmark_argv(self, argv, expected, monkeypatch):
         monkeypatch.delenv("STATLAB_OUT", raising=False)
         assert parse_config(argv) == expected
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["pooling", "--k-range", "x"],
+         "argument --k-range: expected integers separated by ':', got 'x'"),
+        (["pooling", "--k-range", "2,10"],
+         "argument --k-range: expected integers separated by ':', got '2,10'"),
+        (["gof", "--sizes", "16,x"],
+         "argument --sizes: expected integers separated by ',', got '16,x'"),
+        (["estimator", "--sizes", "100:400"],
+         "argument --sizes: expected integers separated by ',', got '100:400'"),
+    ])
+    def test_malformed_integer_list_names_the_form(self, argv, expected, capsys):
+        assert main(argv) == 2
+        assert expected in capsys.readouterr().err
 
     def test_range_and_sizes_parsing(self):
         config = parse_config(["pooling", "--k-range", "2:10"])
@@ -273,8 +291,8 @@ class TestRunAndReport:
                                                  capsys):
         run_gof = report._RUNNERS["gof"]
 
-        def nan_summary(config, out):
-            tables, figs, summary, warnings = run_gof(config, out)
+        def nan_summary(config):
+            tables, figs, summary, warnings = run_gof(config)
             return tables, figs, {**summary, "mean_statistic": float("nan")}, warnings
 
         monkeypatch.setitem(report._RUNNERS, "gof", nan_summary)

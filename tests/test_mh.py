@@ -9,14 +9,33 @@ from statlab.mh import (
     ChainResult,
     MhConfig,
     TargetDensity,
-    acceptance_prob,
     density_distance,
     log_unnormalized,
-    mh_step,
     run_chain,
     unnormalized,
 )
-from statlab.simkit import make_stream
+from statlab.simkit import RngStream, make_stream
+
+
+def acceptance_prob(x: float, y: float) -> float:
+    """min{1, g(y)/g(x)} -- the proposal is symmetric, so its terms cancel."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError("x and y must be finite")
+    return min(1.0, math.exp(min(0.0, log_unnormalized(y) - log_unnormalized(x))))
+
+
+def mh_step(x: float, stream: RngStream, sd: float = 1.0) -> tuple[float, bool]:
+    """One Metropolis-Hastings transition; consumes exactly two stream draws.
+
+    The step rule that ``run_chain`` writes out in its loops, one call per
+    step: the oracle it is checked against.
+    """
+    y = stream.normal(mean=x, sd=sd)
+    u = stream.uniform()
+    log_alpha = log_unnormalized(y) - log_unnormalized(x)
+    if math.log(max(u, 1e-300)) < log_alpha:
+        return y, True
+    return x, False
 
 
 @pytest.fixture(scope="module")

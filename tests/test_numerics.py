@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from statlab import gof, mh
 from statlab.numerics import (
     QuadratureDivergenceError,
+    histogram_vs_reference,
     integrate_interval,
     integrate_real_line,
     minimize_scalar,
@@ -148,6 +150,38 @@ class TestQuantileType7:
             assert type(q) is type(quantile_type7(x, p))
         with pytest.raises(ValueError):
             quantile_type7(x, (0.5, 1.5))
+
+
+class TestHistogramVsReference:
+    @pytest.mark.parametrize("edges, lo, hi, width", [
+        (mh.EDGES, -3.0, 3.0, 0.1499999999999999),
+        (gof.EDGES, 0.0, 20.0, 0.5),
+    ])
+    def test_equals_the_written_out_formula(self, edges, lo, hi, width):
+        # np.histogram's own edges and bin width; on mh's window that width
+        # is not 6 / 40, on gof's it is 0.5
+        rng = np.random.default_rng(8)
+        samples = rng.normal(0.5 * (lo + hi), 0.4 * (hi - lo), size=5001)
+        reference = rng.uniform(0.0, 0.3, size=40)
+        empirical, distance = histogram_vs_reference(samples, edges, reference)
+        counts, np_edges = np.histogram(samples, bins=40, range=(lo, hi))
+        assert np.array_equal(np_edges, edges)
+        assert np_edges[1] - np_edges[0] == width
+        former = counts / (samples.size * width)
+        assert np.array_equal(empirical, former)
+        assert distance == float(np.max(np.abs(former - reference)))
+
+    def test_outside_samples_count_in_the_denominator_only(self):
+        # two of the five samples fall outside [0, 2]; the right edge is in
+        edges = np.array([0.0, 1.0, 2.0])
+        samples = [0.5, 2.0, -0.1, 7.0, 1.5]
+        empirical, distance = histogram_vs_reference(samples, edges, [0.2, 0.5])
+        assert empirical.tolist() == [0.2, 0.4]
+        assert distance == pytest.approx(0.1, abs=1e-15)
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            histogram_vs_reference([], gof.EDGES, np.zeros(40))
 
 
 class TestSummarize:

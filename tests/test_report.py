@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +102,39 @@ def test_run_mh_bins_the_reference_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("subcommand, options", [
+    ("pooling", {"N": 60, "k_range": (2, 6)}),
+    ("mh", {"burn_in": 10, "samples": 1000}),
+    ("estimator", {"sizes": (8, 12)}),
+    ("gof", {"bins": 4, "sizes": (8, 40)}),
+])
+def test_run_and_report_writes_exactly_the_listed_files(subcommand, options,
+                                                         tmp_path, monkeypatch):
+    # the runners only return data: run_and_report writes each listed table,
+    # then each listed figure, then the summary, and nothing else but its
+    # writability probe
+    written = []
+    write_table, write_text = report.write_table, Path.write_text
+
+    def table(path, columns):
+        written.append(path.name)
+        write_table(path, columns)
+
+    def text(path, data, *args, **kwargs):
+        written.append(path.name)
+        return write_text(path, data, *args, **kwargs)
+
+    monkeypatch.setattr(report, "write_table", table)
+    monkeypatch.setattr(Path, "write_text", text)
+    [doc] = run_and_report(RunConfig(subcommand=subcommand, root_seed=5,
+                                     n_reps=50, output_dir=tmp_path,
+                                     emit_figures=True, options=options))
+    files = [*doc["tables"], *doc["figures"], f"{subcommand}_summary.json"]
+    assert doc["tables"] and doc["figures"]
+    assert written == [".writable", *files]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
 @pytest.mark.parametrize("chunk", [7, 100, 1 << 16])
 def test_chunked_variance(chunk, monkeypatch):
     # two passes a chunk at a time, whole or ragged, agree with numpy's var
@@ -110,7 +144,7 @@ def test_chunked_variance(chunk, monkeypatch):
     assert report._variance(np.full(10, 2.5)) == 0.0
 
 
-def test_run_gof_distances_are_shape_distance(tmp_path, monkeypatch):
+def test_run_gof_distances_are_shape_distance(monkeypatch):
     # one reference quadrature for every sample size, and the same distances,
     # bit for bit, as gof.shape_distance computes on its own
     calls = []
@@ -123,7 +157,7 @@ def test_run_gof_distances_are_shape_distance(tmp_path, monkeypatch):
     monkeypatch.setattr(gof, "binned_chisq_density", counted)
     config = RunConfig(subcommand="gof", root_seed=4, n_reps=300,
                        options={"bins": 4, "sizes": (8, 16, 40)})
-    _, _, summary, _ = report.run_gof(config, tmp_path)
+    _, _, summary, _ = report.run_gof(config)
     assert len(calls) == 1
     monkeypatch.setattr(gof, "binned_chisq_density", binned)
     plan = gof.GofPlan(bins=4, sample_sizes=(8, 16, 40), n_reps=300)
@@ -136,22 +170,26 @@ def test_run_gof_two_bins_is_finite(tmp_path):
     # at df = 1 the reference density is infinite at 0; the tables and the
     # summary must still hold only finite numbers
     config = RunConfig(subcommand="gof", root_seed=4, n_reps=300,
-                       options={"bins": 2})
-    tables, _, summary, _ = report.run_gof(config, tmp_path)
+                       options={"bins": 2}, output_dir=tmp_path)
+    [doc] = run_and_report(config)
+    summary = doc["summary"]
     assert all(math.isfinite(d) for d in summary["shape_distance"].values())
-    for name in tables:
+    for name in doc["tables"]:
         assert "nan" not in (tmp_path / name).read_text()
 
 
 @pytest.mark.parametrize("N", [60, 16, 70])
-def test_run_pooling_warns_when_no_candidate_saves(N, tmp_path):
+def test_run_pooling_warns_when_no_candidate_saves(N):
     # brute force over the candidate pool sizes, which for N = 16 and N = 70
     # leave out k = 3, the only integer that helps for p just under 0.3066
     candidates = [k for k in range(2, 11) if N % k == 0]
     for p in np.linspace(0.2, 0.35, 31):
         config = RunConfig(subcommand="pooling", root_seed=1, n_reps=1,
                            options={"p": p, "N": N, "k_range": (2, 10)})
-        _, _, summary, warnings = report.run_pooling(config, tmp_path)
+        tables, _, summary, warnings = report.run_pooling(config)
+        for columns in tables.values():
+            for column in columns.values():
+                assert np.all(np.isfinite(column))
         saves = any(pooling.expected_tests_per_person(k, p) < 1.0
                     for k in candidates)
         assert (summary["savings_ratio_at_best_k"] > 1.0) == saves
