@@ -18,6 +18,8 @@ from .numerics import SummaryStats, quantile_type7, summarize
 
 # 2 * z_{0.75}: the population IQR of a normal is this many standard deviations
 IQR_TO_SIGMA = 1.3489795
+# The largest sigma: squared deviations summed over a sample stay finite.
+MAX_TRUE_SD = 1e100
 
 
 @dataclass(frozen=True)
@@ -34,8 +36,8 @@ class EstimatorStudyPlan:
         if len(set(self.sample_sizes)) < len(self.sample_sizes):
             raise ValueError(f"sample_sizes must be distinct, got "
                              f"{self.sample_sizes}")
-        if not (math.isfinite(self.true_sd) and self.true_sd > 0):
-            raise ValueError(f"true_sd must be positive and finite, got "
+        if not 0 < self.true_sd <= MAX_TRUE_SD:
+            raise ValueError(f"true_sd must lie in (0, {MAX_TRUE_SD:g}], got "
                              f"{self.true_sd}")
         if self.n_reps < 2:
             raise ValueError(f"n_reps must be at least 2, got {self.n_reps}")
@@ -79,12 +81,12 @@ def run_estimator_study(
 ) -> EstimatorStudyResult:
     """Sampling distributions of both estimators at each planned sample size.
 
-    Replicate ``i`` at sample size ``n`` estimates from the first ``n`` draws
-    of its private substream, so ``distributions[(name, n)][i]`` equals, bit
-    for bit, ``sigma_hat_<name>(make_stream(root_seed, f"estimator-n{n}", i)
-    .normals(n, plan.true_mean, plan.true_sd))``.  Replicates are computed in
-    blocks (``simkit.run_replicates_batched``); the output does not depend on
-    the block size.
+    ``distributions[(name, n)][i]`` is, bit for bit, ``sigma_hat_<name>(
+    normals_from_uniforms(uniforms(stream(root_seed, f"estimator-n{n}", i)
+    .random_raw(n)), plan.true_mean, plan.true_sd))``: replicate ``i``'s
+    normals at sample size ``n``.  Replicates are computed in blocks
+    (``simkit.run_replicates_batched``); the output does not depend on the
+    block size.
     """
 
     def block_estimates(block: np.ndarray) -> dict[str, np.ndarray]:

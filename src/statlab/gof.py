@@ -81,11 +81,11 @@ def bin_uniform(draws: Sequence[float], bins: int) -> np.ndarray:
 def simulate_uniform_gof(plan: GofPlan, root_seed: int) -> GofResult:
     """Null distribution of the Pearson statistic for each planned sample size.
 
-    Replicate ``i`` at sample size ``n`` bins the first ``n`` draws of its
-    private substream ``(root_seed, f"gof-n{n}", i)``, scaled to (0, bins), so
-    ``statistics[n][i]`` equals, bit for bit,
-    ``pearson_statistic(bin_uniform(make_stream(root_seed, f"gof-n{n}", i)
-    .uniforms(n, 0, bins), bins), expected)``.  Replicates are computed in
+    Replicate ``i`` at sample size ``n`` bins the uniforms of the first ``n``
+    words of its private substream, scaled to (0, bins), so
+    ``statistics[n][i]`` equals, bit for bit, ``pearson_statistic(
+    bin_uniform(bins * uniforms(stream(root_seed, f"gof-n{n}", i)
+    .random_raw(n)), bins), expected)``.  Replicates are computed in
     blocks (``simkit.run_replicates_batched``); the output does not depend on
     the block size.
     """

@@ -14,7 +14,7 @@ import numpy as np
 
 from .numerics import (histogram_vs_reference, integrate_interval,
                        integrate_real_line)
-from .simkit import RngStream, normals_from_uniforms
+from .simkit import normals_from_uniforms, stream
 
 
 def log_unnormalized(y: float) -> float:
@@ -50,6 +50,11 @@ class TargetDensity:
         return self.normalize(tol) * res.value
 
 
+# The widest proposal: a step is at most 37.05 sd (ndtri of the clamped
+# uniform), so the chain's y**4 stays finite.
+MAX_PROPOSAL_SD = 1e75
+
+
 @dataclass(frozen=True)
 class MhConfig:
     proposal_sd: float = 1.0
@@ -58,9 +63,9 @@ class MhConfig:
     initial_x: float = 3.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.proposal_sd) and self.proposal_sd > 0):
-            raise ValueError(f"proposal_sd must be positive and finite, got "
-                             f"{self.proposal_sd}")
+        if not 0 < self.proposal_sd <= MAX_PROPOSAL_SD:
+            raise ValueError(f"proposal_sd must lie in (0, {MAX_PROPOSAL_SD:g}], "
+                             f"got {self.proposal_sd}")
         if self.burn_in < 0:
             raise ValueError(f"burn_in must be at least 0, got {self.burn_in}")
         if self.n_samples < 1:
@@ -84,15 +89,16 @@ def run_chain(config: MhConfig, root_seed: int,
               experiment_id: str = "mh-chain") -> ChainResult:
     """Burn in, then collect n_samples states of the random-walk chain.
 
-    Each step takes two stream draws, a proposal normal and then an
-    acceptance uniform, and moves to the proposal when the uniform's log is
-    below the log density ratio.  The draws are taken ``_CHUNK_STEPS`` steps
+    Each step takes two uniforms of ``stream(root_seed, experiment_id, 0)``
+    (``Generator.random``), a proposal normal's and then an acceptance
+    uniform, and moves to the proposal when the uniform's log is below the
+    log density ratio.  The draws are taken ``_CHUNK_STEPS`` steps
     at a time and turned into Python floats, so besides the ``n_samples``
     array the chain holds one chunk's draws (about 10 MB) whatever its
     length.  The step rule is written out in the loops, which call no Python
     function per step; burn-in steps are neither counted nor stored.
     """
-    stream = RngStream(root_seed, experiment_id, 0)
+    draws = np.random.Generator(stream(root_seed, experiment_id, 0))
     sd = config.proposal_sd
     burn_in = config.burn_in
     total = burn_in + config.n_samples
@@ -103,7 +109,7 @@ def run_chain(config: MhConfig, root_seed: int,
     accepted = 0
     for start in range(0, total, _CHUNK_STEPS):
         m = min(_CHUNK_STEPS, total - start)
-        us = stream.raw(2 * m)
+        us = draws.random(2 * m)
         dz = normals_from_uniforms(us[0::2], sd=sd).tolist()
         log_u = np.log(np.maximum(us[1::2], 1e-300)).tolist()
         split = min(max(burn_in - start, 0), m)

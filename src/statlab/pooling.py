@@ -32,6 +32,15 @@ class PoolingDesign:
             raise ValueError("prevalence must lie in [0, 1]")
 
 
+# The smallest prevalence: a 53-bit uniform's resolution, below which
+# uniforms_below cannot simulate p.  It also keeps the continuous optimum,
+# about 1/sqrt(p), below ~9.5e7, where floats are finer than the searches' tol.
+MIN_P = 2.0**-53
+# The largest population: one replicate's row is N 8-byte words, and each of
+# the two wide-row threads holds one.
+MAX_N = 10**7
+
+
 @dataclass(frozen=True)
 class PoolingPlan:
     """A pooling study: prevalence, population, pool-size range, replicates."""
@@ -42,8 +51,10 @@ class PoolingPlan:
     n_reps: int = 1000
 
     def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must lie strictly in (0, 1), got {self.p}")
+        if not MIN_P <= self.p < 1.0:
+            raise ValueError(f"p must lie in [2**-53, 1), got {self.p}")
+        if self.N > MAX_N:
+            raise ValueError(f"N must be at most {MAX_N}, got {self.N}")
         if len(self.k_range) != 2 or not (
                 2 <= self.k_range[0] < self.k_range[1] <= self.N):
             raise ValueError(f"k_range must satisfy 2 <= lo < hi <= N = "
@@ -102,8 +113,12 @@ def expected_tests(k: float, n: float, p: float) -> float:
 
 
 def expected_tests_per_person(k: float, p: float) -> float:
-    """Expected tests per person, 1/k + 1 - (1-p)^k; independent of n."""
-    return 1.0 / k + 1.0 - (1.0 - p) ** k
+    """Expected tests per person, 1/k + 1 - (1-p)^k; independent of n.
+
+    (1-p)^k - 1 is taken as expm1(k log1p(-p)), so a tiny p is not lost
+    rounding 1-p.
+    """
+    return 1.0 / k - np.expm1(k * math.log1p(-p))
 
 
 def pooling_helps(p: float) -> bool:
@@ -142,7 +157,8 @@ def optimality_residual(k: float, p: float) -> float:
     Zero exactly at the continuous optimum; used as an independent bisection
     cross-check of the golden-section answer.
     """
-    return 1.0 / (k * k) + np.log(1.0 - p) * (1.0 - p) ** k
+    log_q = math.log1p(-p)
+    return 1.0 / (k * k) + log_q * math.exp(k * log_q)
 
 
 def optimal_pool_size_root(p: float, tol: float = 1e-6) -> float | None:
@@ -189,10 +205,9 @@ def simulate_pooling(
     """Monte Carlo estimate of the total test count for a pooling design.
 
     Per replicate: N Bernoulli(p) disease statuses, partitioned into n pools
-    of k; total tests = n + k * (number of positive pools).  Replicate ``i``
-    draws its statuses, as ``bernoullis`` would, from its private substream
-    ``(root_seed, experiment_id, i)`` on ``simkit.run_replicates_batched``,
-    compared with p on the raw words (``simkit.uniforms_below``).
+    of k; total tests = n + k * (number of positive pools).  Replicate ``i``'s
+    statuses are ``uniforms_below(stream(root_seed, experiment_id, i)
+    .random_raw(N), p)``, drawn on ``simkit.run_replicates_batched``.
     """
     k, n, p = design.k, design.n, design.p
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import platform
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -16,8 +17,14 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import scipy
 
 from . import __version__, estimators, figures, gof, mh, numerics, pooling
+
+# The versions byte-identity rests on: numpy's Philox and Generator.random,
+# and scipy's ndtri.
+ENVIRONMENT = {"python": platform.python_version(), "numpy": np.__version__,
+               "scipy": scipy.__version__, "statlab": __version__}
 
 
 @dataclass
@@ -336,6 +343,7 @@ def run_and_report(config: RunConfig) -> list[dict]:
         doc = {
             "tool": "statlab",
             "version": __version__,
+            "environment": dict(ENVIRONMENT),
             "subcommand": name,
             "root_seed": config.root_seed,
             "timestamp": datetime.now(timezone.utc).isoformat(),

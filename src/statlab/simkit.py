@@ -1,8 +1,8 @@
 """Reproducible random streams and the replicate engine.
 
-Every simulation replicate owns a private substream keyed by
-(root_seed, experiment_id, replicate_index), so results are identical no
-matter how replicates are batched or which thread runs them.
+Every simulation replicate owns a private substream, ``stream(root_seed,
+experiment_id, replicate_index)``, so results are identical no matter how
+replicates are batched or which thread runs them.
 """
 
 from __future__ import annotations
@@ -37,6 +37,21 @@ def _block_keys(
         h.update(b"%d" % i)
         digests.append(h.digest()[:16])
     return np.frombuffer(b"".join(digests), dtype="<u8").reshape(rows, 2)
+
+
+def stream(
+    root_seed: int, experiment_id: str, replicate_index: int
+) -> np.random.Philox:
+    """Replicate ``replicate_index``'s Philox4x64-10, keyed by ``_block_keys``.
+
+    The one definition of a replicate's random numbers: the replicate
+    engine's row ``i`` is ``stream(root_seed, experiment_id, i)
+    .random_raw(n_draws)``.  Single-owner: not safe to share across threads.
+    """
+    if replicate_index < 0:
+        raise ValueError("replicate_index must be non-negative")
+    return np.random.Philox(
+        key=_block_keys(root_seed, experiment_id, replicate_index, 1)[0])
 
 
 # The most words one block of a batched task may hold (a 128 KiB uint64
@@ -115,63 +130,12 @@ def uniforms_below(words: np.ndarray, p: float) -> np.ndarray:
     return words < np.uint64(threshold)
 
 
-class RngStream:
-    """A counter-based (Philox) substream for one simulation replicate.
-
-    Normal draws use the inverse-CDF transform of a single uniform, so every
-    draw consumes exactly one underlying stream value regardless of its
-    distribution; replicate streams therefore stay aligned across runs.
-    Single-owner: not safe to share one instance across threads.
-    """
-
-    def __init__(self, root_seed: int, experiment_id: str, replicate_index: int):
-        if replicate_index < 0:
-            raise ValueError("replicate_index must be non-negative")
-        self.root_seed = int(root_seed)
-        self.experiment_id = experiment_id
-        self.replicate_index = int(replicate_index)
-        key = _block_keys(self.root_seed, experiment_id, self.replicate_index, 1)
-        self._gen = np.random.Generator(np.random.Philox(key=key[0]))
-
-    def raw(self, n: int) -> np.ndarray:
-        """n uniforms on [0, 1), the primitive every other draw is built from."""
-        return self._gen.random(n)
-
-    def uniform(self, a: float = 0.0, b: float = 1.0) -> float:
-        return float(self.uniforms(1, a, b)[0])
-
-    def uniforms(self, n: int, a: float = 0.0, b: float = 1.0) -> np.ndarray:
-        if not a < b:
-            raise ValueError("need a < b")
-        return a + (b - a) * self.raw(n)
-
-    def normal(self, mean: float = 0.0, sd: float = 1.0) -> float:
-        return float(self.normals(1, mean, sd)[0])
-
-    def normals(self, n: int, mean: float = 0.0, sd: float = 1.0) -> np.ndarray:
-        if not sd > 0:
-            raise ValueError("sd must be positive")
-        return normals_from_uniforms(self.raw(n), mean, sd)
-
-    def bernoulli(self, p: float) -> int:
-        return int(self.bernoullis(1, p)[0])
-
-    def bernoullis(self, n: int, p: float) -> np.ndarray:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
-        return (self.raw(n) < p).astype(np.int64)
-
-
 def normals_from_uniforms(
     u: np.ndarray, mean: float = 0.0, sd: float = 1.0
 ) -> np.ndarray:
     """Normal draws from uniforms on [0, 1) by the inverse CDF, one per uniform."""
     # a uniform can be exactly 0.0; clamp so ndtri stays finite
     return mean + sd * ndtri(np.maximum(u, 1e-300))
-
-
-def make_stream(root_seed: int, experiment_id: str, replicate_index: int) -> RngStream:
-    return RngStream(root_seed, experiment_id, replicate_index)
 
 
 def _as_values(out, rows: int, names=None) -> dict[str, np.ndarray]:
@@ -209,9 +173,9 @@ def run_replicates_batched(
 
     ``task(block)`` gets a ``(reps, n_draws)`` uint64 array of raw Philox
     words whose rows are consecutive replicates' private substreams: row ``i``
-    of the blocks taken in order is, bit for bit, the words behind
-    ``make_stream(root_seed, experiment_id, i).raw(n_draws)``, which
-    ``uniforms`` turns into those uniforms.  A task that needs no uniforms,
+    of the blocks taken in order is, bit for bit,
+    ``stream(root_seed, experiment_id, i).random_raw(n_draws)``, which
+    ``uniforms`` turns into uniforms.  A task that needs no uniforms,
     such as a Bernoulli comparison, can work on the words themselves.  It
     returns one value per row, or a mapping of named arrays of one value per
     row.  The result maps each name (``"value"`` for a plain array) to the

@@ -1,10 +1,13 @@
 """Independent reference generators used to check the library's samplers.
 
 These deliberately avoid statlab's own stream machinery (numpy's default
-generator instead) so a bug cannot cancel out of both sides of a comparison.
+generator, or a Philox keyed here from the stated hash) so a bug cannot cancel
+out of both sides of a comparison.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 
@@ -33,3 +36,14 @@ def chisq_sample(n: int, df: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(size=(n, df))
     return (z * z).sum(axis=1)
+
+
+def replicate_generator(
+    root_seed: int, experiment_id: str, i: int
+) -> np.random.Generator:
+    """Replicate i's random numbers as the reproducibility contract states
+    them: numpy's Philox keyed by the first 16 bytes, little-endian, of the
+    SHA-256 digest of root_seed, experiment_id (UTF-8) and i, NUL-joined."""
+    material = b"%d\x00%s\x00%d" % (root_seed, experiment_id.encode("utf-8"), i)
+    key = int.from_bytes(hashlib.sha256(material).digest()[:16], "little")
+    return np.random.Generator(np.random.Philox(key=key))

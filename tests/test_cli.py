@@ -1,8 +1,11 @@
 import json
+import platform
+from importlib import metadata
 from pathlib import Path
 
 import pytest
 
+import statlab
 from statlab import report
 from statlab.cli import OPTIONS, main, parse_config
 from statlab.report import RunConfig, run_and_report
@@ -84,11 +87,29 @@ class TestParseConfig:
         (["estimator", "--sizes", "100,100", "--reps", "10"], "--sizes"),
         (["gof", "--sizes", "16,16"], "--sizes"),
         (["mh", "--reps", "5"], "--reps"),
+        # past a plan's bound; a dict last is a config file holding it
+        (["pooling", "--N", "1" + "0" * 400], "--N"),
+        (["pooling", "--N", "10000001"], "--N"),
+        (["pooling", {"N": 10**400}], "--N"),
+        (["mh", "--proposal-sd", "1e308"], "--proposal-sd"),
+        (["mh", "--proposal-sd", "2e75"], "--proposal-sd"),
+        (["mh", {"proposal_sd": 1e308}], "--proposal-sd"),
+        (["estimator", "--sigma", "1e308"], "--sigma"),
+        (["estimator", "--sigma", "1e154"], "--sigma"),
+        (["estimator", {"sigma": 1e308}], "--sigma"),
+        (["pooling", "--p", "1e-17"], "--p"),
+        (["pooling", "--p", "1e-300"], "--p"),
+        (["pooling", {"p": 1e-17}], "--p"),
     ])
     def test_invalid_option_is_usage_error(self, argv, flag, tmp_path, capsys):
-        assert main([*argv, "--out", str(tmp_path)]) == 2
+        if isinstance(argv[-1], dict):
+            cfg = tmp_path / "conf.json"
+            cfg.write_text(json.dumps(argv[-1]))
+            argv = [*argv[:-1], "--config", str(cfg)]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
         assert flag in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
+        assert not out.exists()
 
     def test_invalid_config_file_option_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "conf.json"
@@ -314,5 +335,11 @@ class TestRunAndReport:
         assert [doc["subcommand"] for doc in docs] == [
             "pooling", "mh", "estimator", "gof"
         ]
+        # each summary records the versions its tables' bytes rest on
+        environment = {"python": platform.python_version(),
+                       "numpy": metadata.version("numpy"),
+                       "scipy": metadata.version("scipy"),
+                       "statlab": statlab.__version__}
         for name in ("pooling", "mh", "estimator", "gof"):
-            assert (tmp_path / f"{name}_summary.json").exists()
+            doc = json.loads((tmp_path / f"{name}_summary.json").read_text())
+            assert doc["environment"] == environment

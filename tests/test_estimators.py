@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from oracles import replicate_generator
 from statlab import simkit
 from statlab.estimators import (
     IQR_TO_SIGMA,
+    MAX_TRUE_SD,
     EstimatorStudyPlan,
     run_estimator_study,
     sigma_hat_iqr,
@@ -152,18 +154,17 @@ class TestStudy:
 
     @pytest.mark.parametrize("block_values", [None, 300])
     def test_matches_per_replicate_definition(self, block_values, monkeypatch):
-        # replicate i is sigma_hat_*(make_stream(seed, id, i).normals(...)) bit
-        # for bit, at the default block cap and at one whose blocks (8 rows at
-        # n = 37, 3 at n = 100) do not divide n_reps
+        # replicate i is sigma_hat_* of the inverse-CDF normals of its
+        # stream's uniforms, bit for bit, at the default block cap and at one
+        # whose blocks (8 rows at n = 37, 3 at n = 100) do not divide n_reps
         if block_values is not None:
             monkeypatch.setattr(simkit, "_BLOCK_VALUES", block_values)
         plan = EstimatorStudyPlan(sample_sizes=(37, 100), true_sd=0.5, n_reps=250)
         res = run_estimator_study(plan, root_seed=17)
         for n in plan.sample_sizes:
             for i in range(plan.n_reps):
-                draws = simkit.make_stream(17, f"estimator-n{n}", i).normals(
-                    n, plan.true_mean, plan.true_sd
-                )
+                u = replicate_generator(17, f"estimator-n{n}", i).random(n)
+                draws = plan.true_mean + plan.true_sd * ndtri(np.maximum(u, 1e-300))
                 assert res.distributions[("iqr", n)][i] == sigma_hat_iqr(draws)
                 assert res.distributions[("s", n)][i] == sigma_hat_s(draws)
 
@@ -174,3 +175,11 @@ class TestStudy:
             EstimatorStudyPlan(true_sd=0.0)
         with pytest.raises(ValueError):
             EstimatorStudyPlan(n_reps=1)
+        with pytest.raises(ValueError):
+            EstimatorStudyPlan(true_sd=1.01 * MAX_TRUE_SD)
+
+    def test_largest_sigma_stays_finite(self):
+        plan = EstimatorStudyPlan(true_sd=MAX_TRUE_SD, n_reps=20)
+        res = run_estimator_study(plan, root_seed=4)
+        for vec in res.distributions.values():
+            assert np.all(np.isfinite(vec))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import chisq_sample
+from oracles import chisq_sample, replicate_generator
 from statlab.gof import (
     GofPlan,
     bin_uniform,
@@ -13,7 +13,6 @@ from statlab.gof import (
 )
 from statlab.numerics import integrate_interval
 from statlab import simkit
-from statlab.simkit import make_stream
 
 
 class TestPearsonStatistic:
@@ -126,8 +125,9 @@ class TestSimulate:
             expected = np.full(bins, n / bins)
             definition = np.array([
                 pearson_statistic(
-                    bin_uniform(make_stream(11, f"gof-n{n}", i).uniforms(n, 0, bins),
-                                bins),
+                    bin_uniform(
+                        bins * replicate_generator(11, f"gof-n{n}", i).random(n),
+                        bins),
                     expected,
                 )
                 for i in range(plan.n_reps)

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
-from oracles import rejection_sample_target
+from oracles import rejection_sample_target, replicate_generator
 from statlab import mh
 from statlab.mh import (
     ChainResult,
@@ -14,7 +15,6 @@ from statlab.mh import (
     run_chain,
     unnormalized,
 )
-from statlab.simkit import RngStream, make_stream
 
 
 def acceptance_prob(x: float, y: float) -> float:
@@ -24,14 +24,20 @@ def acceptance_prob(x: float, y: float) -> float:
     return min(1.0, math.exp(min(0.0, log_unnormalized(y) - log_unnormalized(x))))
 
 
-def mh_step(x: float, stream: RngStream, sd: float = 1.0) -> tuple[float, bool]:
-    """One Metropolis-Hastings transition; consumes exactly two stream draws.
+def proposal(x: float, draws: np.random.Generator, sd: float = 1.0) -> float:
+    """x plus a normal step made of one uniform by the inverse CDF."""
+    return x + sd * float(ndtri(max(draws.random(), 1e-300)))
+
+
+def mh_step(x: float, draws: np.random.Generator,
+            sd: float = 1.0) -> tuple[float, bool]:
+    """One Metropolis-Hastings transition; consumes exactly two uniforms.
 
     The step rule that ``run_chain`` writes out in its loops, one call per
     step: the oracle it is checked against.
     """
-    y = stream.normal(mean=x, sd=sd)
-    u = stream.uniform()
+    y = proposal(x, draws, sd)
+    u = draws.random()
     log_alpha = log_unnormalized(y) - log_unnormalized(x)
     if math.log(max(u, 1e-300)) < log_alpha:
         return y, True
@@ -113,27 +119,27 @@ class TestAcceptanceProb:
 
 class TestMhStep:
     def test_consumes_two_draws_and_matches_manual_update(self):
-        used = make_stream(99, "step", 0)
-        shadow = make_stream(99, "step", 0)
+        used = replicate_generator(99, "step", 0)
+        shadow = replicate_generator(99, "step", 0)
         x = 0.5
         x_next, accepted = mh_step(x, used)
-        y = shadow.normal(mean=x, sd=1.0)
-        u = shadow.uniform()
+        y = proposal(x, shadow)
+        u = shadow.random()
         alpha = min(1.0, math.exp(log_unnormalized(y) - log_unnormalized(x)))
         if u < alpha:
             assert accepted and x_next == y
         else:
             assert not accepted and x_next == x
         # both streams must now be aligned
-        assert used.uniform() == shadow.uniform()
+        assert used.random() == shadow.random()
 
     def test_rejection_branch_keeps_state(self):
         # from a high-density point, far proposals are eventually rejected
-        stream = make_stream(12, "reject", 0)
+        draws = replicate_generator(12, "reject", 0)
         saw_rejection = False
         x = 0.9
         for _ in range(200):
-            x_next, accepted = mh_step(x, stream)
+            x_next, accepted = mh_step(x, draws)
             if not accepted:
                 assert x_next == x
                 saw_rejection = True
@@ -183,11 +189,11 @@ class TestRunChain:
                 config = MhConfig(proposal_sd=sd, burn_in=burn_in,
                                   n_samples=100, initial_x=3.0)
                 bulk = run_chain(config, root_seed=77, experiment_id="stepwise")
-                stream = make_stream(77, "stepwise", 0)
+                draws = replicate_generator(77, "stepwise", 0)
                 x = config.initial_x
                 samples, accepted = [], 0
                 for i in range(config.burn_in + config.n_samples):
-                    x, moved = mh_step(x, stream, sd=sd)
+                    x, moved = mh_step(x, draws, sd=sd)
                     if i >= config.burn_in:
                         samples.append(x)
                         accepted += moved
@@ -200,9 +206,15 @@ class TestRunChain:
             MhConfig(proposal_sd=0.0)
         with pytest.raises(ValueError):
             MhConfig(n_samples=0)
-        for sd in (math.inf, math.nan):
+        for sd in (math.inf, math.nan, 1.01 * mh.MAX_PROPOSAL_SD):
             with pytest.raises(ValueError):
                 MhConfig(proposal_sd=sd)
+
+    def test_widest_proposal_stays_finite(self):
+        # the largest step, from the clamped uniform, keeps y**4 finite
+        assert math.isfinite(log_unnormalized(mh.MAX_PROPOSAL_SD * ndtri(1e-300)))
+        config = MhConfig(proposal_sd=mh.MAX_PROPOSAL_SD, burn_in=0, n_samples=1000)
+        assert np.all(np.isfinite(run_chain(config, root_seed=3).samples))
 
 
 class TestDensityDistance:

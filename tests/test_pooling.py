@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+from oracles import replicate_generator
 from statlab import simkit
 from statlab.pooling import (
+    MAX_N,
+    MIN_P,
     POOLING_HELPS_BELOW,
     POOLING_HELPS_INTEGER_BELOW,
     ContinuousOptimum,
@@ -61,6 +66,16 @@ class TestContinuousOptimum:
             golden = optimal_pool_size_continuous(p, tol=1e-6).k
             bisect = optimal_pool_size_root(p, tol=1e-6)
             assert abs(golden - bisect) < 2e-3
+
+    @pytest.mark.parametrize("p", [MIN_P, 2e-16, 1e-14, 0.05])
+    def test_tiny_prevalence(self, p):
+        # 1 - p is not rounded away: down to the smallest plannable p both
+        # tracks find the optimum, which tends to 1/sqrt(p) + 1/2 as p -> 0
+        golden = optimal_pool_size_continuous(p).k
+        bisect = optimal_pool_size_root(p)
+        assert golden == pytest.approx(bisect, rel=1e-6)
+        if p < 0.05:
+            assert golden == pytest.approx(1 / math.sqrt(p) + 0.5, rel=1e-6)
 
     def test_low_prevalence(self):
         # frozen bisection oracle for p = 0.01
@@ -233,14 +248,12 @@ class TestSimulatePooling:
         # on the same Bernoulli statuses, bit for bit
         design = PoolingDesign(N=30 * k, k=k, n=30, p=p)
 
-        def by_any(stream, i):
-            statuses = stream.bernoullis(design.N, p)
+        def by_any(i):
+            statuses = replicate_generator(9, "count", i).random(design.N) < p
             pos = np.any(statuses.reshape(design.n, k), axis=1).sum()
             return float(design.n + k * pos)
 
-        expected = np.array(
-            [by_any(simkit.make_stream(9, "count", i), i) for i in range(300)]
-        )
+        expected = np.array([by_any(i) for i in range(300)])
         totals = _replicate_totals(design, 300, 9, "count", monkeypatch)
         assert np.array_equal(totals, expected)
 
@@ -292,6 +305,9 @@ class TestPoolingPlan:
         ({"N": 8, "k_range": (2, 9)}, "k_range"),
         ({"N": 97}, "N"),
         ({"n_reps": 0}, "n_reps"),
+        ({"p": MIN_P / 2}, "p"),
+        ({"N": MAX_N + 1}, "N"),
+        ({"N": 10**400}, "N"),
     ])
     def test_invalid_plan_message_starts_with_its_field(self, kwargs, field):
         with pytest.raises(ValueError) as excinfo:

@@ -7,74 +7,74 @@ import time
 import numpy as np
 import pytest
 
+from oracles import replicate_generator
 from statlab import simkit
-from statlab.simkit import make_stream, run_replicates_batched
+from statlab.simkit import run_replicates_batched, stream
+
+
+def _uniforms(root_seed, experiment_id, i, n):
+    return simkit.uniforms(stream(root_seed, experiment_id, i).random_raw(n))
 
 
 class TestStreams:
     def test_same_key_same_draws(self):
-        a = make_stream(42, "pool", 0).raw(100)
-        b = make_stream(42, "pool", 0).raw(100)
+        a = stream(42, "pool", 0).random_raw(100)
+        b = stream(42, "pool", 0).random_raw(100)
         assert np.array_equal(a, b)
 
     def test_replicate_index_changes_sequence(self):
-        a = make_stream(42, "pool", 0).raw(10)
-        b = make_stream(42, "pool", 1).raw(10)
+        a = stream(42, "pool", 0).random_raw(10)
+        b = stream(42, "pool", 1).random_raw(10)
         assert a[0] != b[0]
 
     def test_root_seed_changes_sequence(self):
-        a = make_stream(42, "pool", 0).raw(10)
-        b = make_stream(43, "pool", 0).raw(10)
+        a = stream(42, "pool", 0).random_raw(10)
+        b = stream(43, "pool", 0).random_raw(10)
         assert not np.array_equal(a, b)
 
     def test_experiment_id_changes_sequence(self):
-        a = make_stream(42, "pool", 0).raw(10)
-        b = make_stream(42, "mh", 0).raw(10)
+        a = stream(42, "pool", 0).random_raw(10)
+        b = stream(42, "mh", 0).random_raw(10)
         assert not np.array_equal(a, b)
 
     def test_negative_replicate_rejected(self):
         with pytest.raises(ValueError):
-            make_stream(1, "x", -1)
+            stream(1, "x", -1)
+
+    @pytest.mark.parametrize("seed, experiment_id", [
+        (-7, "pool"), (0, "gof-n16"), (2**64 + 5, "mh"), (3, "gøf→ñ"),
+    ])
+    def test_words_are_the_stated_hash_key(self, seed, experiment_id):
+        for i in (0, 1, 12345):
+            words = stream(seed, experiment_id, i).random_raw(40)
+            oracle = replicate_generator(seed, experiment_id, i).bit_generator
+            assert np.array_equal(words, oracle.random_raw(40))
+
+    def test_words_continue_across_calls(self):
+        # the MH chain draws its one stream a chunk at a time
+        chunked = stream(8, "chunks", 0)
+        parts = [chunked.random_raw(m) for m in (1, 7, 64, 5)]
+        whole = stream(8, "chunks", 0).random_raw(77)
+        assert np.array_equal(np.concatenate(parts), whole)
 
 
 class TestDraws:
-    def test_bernoulli_degenerate(self):
-        s = make_stream(7, "bern", 0)
-        assert not s.bernoullis(200, 0.0).any()
-        assert s.bernoullis(200, 1.0).all()
-
     def test_normal_moments(self):
-        draws = make_stream(7, "norm", 0).normals(100_000)
+        draws = simkit.normals_from_uniforms(_uniforms(7, "norm", 0, 100_000))
         assert abs(draws.mean()) < 0.02
         assert abs(draws.std(ddof=1) - 1.0) < 0.02
 
-    def test_normal_consumes_one_value_per_draw(self):
-        a = make_stream(3, "align", 0)
-        b = make_stream(3, "align", 0)
-        a.normal()
-        b.raw(1)
-        assert a.uniform() == b.uniform()
-
     def test_uniform_ks_distance(self):
-        u = np.sort(make_stream(11, "unif", 0).raw(100_000))
+        u = np.sort(_uniforms(11, "unif", 0, 100_000))
         n = u.size
         ecdf_hi = np.arange(1, n + 1) / n
         ecdf_lo = np.arange(0, n) / n
         ks = max(np.max(ecdf_hi - u), np.max(u - ecdf_lo))
         assert ks < 0.006
 
-    def test_parameter_validation(self):
-        s = make_stream(1, "bad", 0)
-        with pytest.raises(ValueError):
-            s.uniform(2.0, 1.0)
-        with pytest.raises(ValueError):
-            s.normal(0.0, -1.0)
-        with pytest.raises(ValueError):
-            s.bernoulli(1.5)
-
     def test_first_draw_cross_stream_correlation(self):
         firsts = np.array(
-            [make_stream(5, "indep", i).uniform() for i in range(10_000)]
+            [_uniforms(5, "indep", i, 1)[0] for i in range(10_000)]
         )
         corr = np.corrcoef(firsts[:-1], firsts[1:])[0, 1]
         assert abs(corr) < 0.03
@@ -149,11 +149,11 @@ class TestArrayPhilox:
 
 
 def _assert_stream_rows(rows, seed, experiment_id):
-    """Row i of the words ``rows`` gives replicate i's stream uniforms."""
+    """Row i of the words ``rows`` is replicate i's stream words."""
     assert rows.dtype == np.uint64
     for i, row in enumerate(rows):
-        stream = make_stream(seed, experiment_id, i).raw(len(row))
-        assert np.array_equal(simkit.uniforms(row), stream)
+        words = replicate_generator(seed, experiment_id, i).bit_generator
+        assert np.array_equal(row, words.random_raw(len(row)))
 
 
 def _columns(block):
@@ -176,7 +176,7 @@ def _blocks(n_reps, n_draws):
 class TestRunReplicatesBatched:
     @pytest.mark.parametrize("n_draws", [1, 5, 16, 64, 100])
     def test_rows_are_the_replicate_streams(self, n_draws, monkeypatch):
-        # row i of the blocks is make_stream(seed, id, i).raw(n) bit for bit,
+        # row i of the blocks is stream(seed, id, i).random_raw(n) bit for bit,
         # on both sides of each block boundary; a change in numpy's Philox
         # state layout breaks this instead of silently shifting every table
         monkeypatch.setattr(simkit, "_BLOCK_VALUES", 320)
@@ -207,7 +207,7 @@ class TestRunReplicatesBatched:
         res = run_replicates_batched(300, "wide", 4, 9, _columns)
         rows = np.column_stack([res[str(j)] for j in range(9)])
         for i in range(300):
-            assert np.array_equal(rows[i], make_stream(4, "wide", i).raw(9))
+            assert np.array_equal(rows[i], replicate_generator(4, "wide", i).random(9))
 
     @pytest.mark.parametrize("run_rows", [1, 3, 64])
     def test_run_length_does_not_change_rows(self, run_rows, monkeypatch):
@@ -229,7 +229,7 @@ class TestRunReplicatesBatched:
         finally:
             sys.setswitchinterval(interval)
         for i in range(150):
-            row = make_stream(6, "runs", i).raw(9)
+            row = replicate_generator(6, "runs", i).random(9)
             assert named["first"][i] == row[0]
             assert named["last"][i] == row[-1]
             assert plain["value"][i] == row[1]
@@ -240,7 +240,7 @@ class TestRunReplicatesBatched:
         # no queued run, and only run 0 goes on to its end
         monkeypatch.setattr(simkit, "_BLOCK_VALUES", 8)
         monkeypatch.setattr(simkit, "_RUN_ROWS", 4)
-        replicate_of = {make_stream(0, "fail", i).raw(9)[0]: i for i in range(8)}
+        replicate_of = {replicate_generator(0, "fail", i).random(): i for i in range(8)}
         calls = itertools.count(1)  # next() on a count is atomic under the GIL
 
         def task(block):
@@ -261,7 +261,7 @@ class TestRunReplicatesBatched:
         res = run_replicates_batched(
             50, "ord", 3, 4, lambda block: simkit.uniforms(block[:, 0]))
         assert res["value"].tolist() == [
-            make_stream(3, "ord", i).raw(1)[0] for i in range(50)
+            replicate_generator(3, "ord", i).random() for i in range(50)
         ]
 
     def test_named_outputs(self, monkeypatch):
@@ -270,7 +270,7 @@ class TestRunReplicatesBatched:
         assert list(res) == ["0", "1", "2"]
         rows = np.column_stack([res[name] for name in res])
         for i in range(10):
-            assert np.array_equal(rows[i], make_stream(5, "named", i).raw(3))
+            assert np.array_equal(rows[i], replicate_generator(5, "named", i).random(3))
 
     def test_named_output_checks(self, monkeypatch):
         with pytest.raises(ValueError, match="'b' has shape"):
