@@ -92,25 +92,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config(parser: argparse.ArgumentParser, path: Path) -> dict:
-    """The config file's values as their flags give them; an unknown key or a
-    value not of its key's JSON type (a bool is no number), or an integer too
-    large for a number key, is a usage error."""
-    values = json.loads(Path(path).read_text())
+    """The config file's values as their flags give them; text that is not
+    JSON (or holds an integer too long to parse), an unknown key, a value not
+    of its key's JSON type (a bool is no number), or an integer too large for
+    a number key is a usage error naming the file."""
+    where = f"config file {path}"
+    try:
+        values = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        parser.error(f"{where}: {exc}")
     if not isinstance(values, dict):
-        parser.error("config file must hold a JSON object")
+        parser.error(f"{where} must hold a JSON object")
     for key, value in values.items():
         if key not in OPTIONS:
-            parser.error(f"config file: unknown key {key!r}")
+            parser.error(f"{where}: unknown key {key!r}")
         kind = OPTIONS[key].json_type
         item, items = (int, value) if kind is list else (kind, [value])
         if not (type(items) is list and items and all(
                 type(v) is item or item is float and type(v) is int for v in items)):
-            parser.error(f"config file: {key!r} must be "
+            parser.error(f"{where}: {key!r} must be "
                          f"{_JSON_TYPE_NAMES[kind]}, got {value!r}")
         try:
             values[key] = tuple(value) if kind is list else kind(value)
         except OverflowError:
-            parser.error(f"config file: {key!r} is out of range for a number")
+            parser.error(f"{where}: {key!r} is out of range for a number")
     return values
 
 

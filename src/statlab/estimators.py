@@ -39,8 +39,9 @@ class EstimatorStudyPlan:
         if not 0 < self.true_sd <= MAX_TRUE_SD:
             raise ValueError(f"true_sd must lie in (0, {MAX_TRUE_SD:g}], got "
                              f"{self.true_sd}")
-        if self.n_reps < 2:
-            raise ValueError(f"n_reps must be at least 2, got {self.n_reps}")
+        if not 2 <= self.n_reps <= simkit.MAX_REPS:
+            raise ValueError(f"n_reps must lie in [2, {simkit.MAX_REPS}], got "
+                             f"{self.n_reps}")
 
 
 @dataclass(frozen=True)

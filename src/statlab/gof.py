@@ -32,8 +32,9 @@ class GofPlan:
         if len(set(self.sample_sizes)) < len(self.sample_sizes):
             raise ValueError(f"sample_sizes must be distinct, got "
                              f"{self.sample_sizes}")
-        if self.n_reps < 1:
-            raise ValueError(f"n_reps must be at least 1, got {self.n_reps}")
+        if not 1 <= self.n_reps <= simkit.MAX_REPS:
+            raise ValueError(f"n_reps must lie in [1, {simkit.MAX_REPS}], got "
+                             f"{self.n_reps}")
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,10 @@ class TargetDensity:
 # The widest proposal: a step is at most 37.05 sd (ndtri of the clamped
 # uniform), so the chain's y**4 stays finite.
 MAX_PROPOSAL_SD = 1e75
+# The longest chain, burn-in included: its samples array is at most 800 MB,
+# and it runs for about 40 s at the 2.5M steps per second of a 2-vCPU x86-64
+# host.
+MAX_CHAIN_STEPS = 10**8
 
 
 @dataclass(frozen=True)
@@ -66,10 +70,14 @@ class MhConfig:
         if not 0 < self.proposal_sd <= MAX_PROPOSAL_SD:
             raise ValueError(f"proposal_sd must lie in (0, {MAX_PROPOSAL_SD:g}], "
                              f"got {self.proposal_sd}")
-        if self.burn_in < 0:
-            raise ValueError(f"burn_in must be at least 0, got {self.burn_in}")
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be at least 1, got {self.n_samples}")
+        if not 0 <= self.burn_in < MAX_CHAIN_STEPS:
+            raise ValueError(f"burn_in must lie in [0, {MAX_CHAIN_STEPS}), got "
+                             f"{self.burn_in}")
+        most = MAX_CHAIN_STEPS - self.burn_in
+        if not 1 <= self.n_samples <= most:
+            raise ValueError(f"n_samples must lie in [1, {most}] (the longest "
+                             f"chain's {MAX_CHAIN_STEPS} steps less the burn-in), "
+                             f"got {self.n_samples}")
 
 
 @dataclass(frozen=True)
@@ -80,9 +88,10 @@ class ChainResult:
     accepted: int = field(repr=False, default=0)
 
 
-# Steps drawn at once; bounds the chain's working set besides the samples
-# array to about 10 MB (two lists of 2**16 Python floats and their arrays).
-_CHUNK_STEPS = 1 << 16
+# Steps drawn at once.  A chunk's uniforms (64 KB), its lists of Python floats
+# and the arrays behind them come to about 0.5 MB, which bounds the chain's
+# working set besides the samples array.
+_CHUNK_STEPS = 1 << 12
 
 
 def run_chain(config: MhConfig, root_seed: int,
@@ -94,7 +103,7 @@ def run_chain(config: MhConfig, root_seed: int,
     uniform, and moves to the proposal when the uniform's log is below the
     log density ratio.  The draws are taken ``_CHUNK_STEPS`` steps
     at a time and turned into Python floats, so besides the ``n_samples``
-    array the chain holds one chunk's draws (about 10 MB) whatever its
+    array the chain holds one chunk's draws (well under 1 MB) whatever its
     length.  The step rule is written out in the loops, which call no Python
     function per step; burn-in steps are neither counted nor stored.
     """

@@ -213,6 +213,10 @@ def solve_root(
     return 0.5 * (lo + hi)
 
 
+# Samples binned per np.histogram call; its own blocks then stay this small.
+_HISTOGRAM_SLICE = 1 << 13
+
+
 def histogram_vs_reference(
     samples: Sequence[float], edges: np.ndarray, reference: np.ndarray
 ) -> tuple[np.ndarray, float]:
@@ -223,11 +227,16 @@ def histogram_vs_reference(
     by the whole sample size times the bin width, so samples outside
     [edges[0], edges[-1]] count in the denominator only.  Returns the
     empirical densities and the sup over bins of |empirical - reference|.
+    The counts are summed over slices of ``_HISTOGRAM_SLICE`` samples, which
+    bin each sample as one whole-array call would, so a long sample adds no
+    temporaries of its own length.
     """
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise ValueError("samples must be non-empty")
-    counts, _ = np.histogram(x, bins=len(edges) - 1, range=(edges[0], edges[-1]))
+    bins, span = len(edges) - 1, (edges[0], edges[-1])
+    counts = sum(np.histogram(x[start:start + _HISTOGRAM_SLICE], bins, span)[0]
+                 for start in range(0, x.size, _HISTOGRAM_SLICE))
     empirical = counts / (x.size * (edges[1] - edges[0]))
     return empirical, float(np.max(np.abs(empirical - reference)))
 

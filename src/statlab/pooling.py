@@ -63,8 +63,9 @@ class PoolingPlan:
             lo, hi = self.k_range
             raise ValueError(f"N must have a divisor between {lo} and {hi}, "
                              f"got {self.N}")
-        if self.n_reps < 1:
-            raise ValueError(f"n_reps must be at least 1, got {self.n_reps}")
+        if not 1 <= self.n_reps <= simkit.MAX_REPS:
+            raise ValueError(f"n_reps must lie in [1, {simkit.MAX_REPS}], got "
+                             f"{self.n_reps}")
 
     @property
     def candidates(self) -> list[int]:
@@ -101,7 +102,9 @@ def expected_tests(k: float, n: float, p: float) -> float:
 
     Each pool costs 1 test plus k retests with probability 1 - (1-p)^k,
     hence n + k*n*(1 - (1-p)^k).  k is allowed to be real so the expression
-    can be optimized continuously.
+    can be optimized continuously.  1 - (1-p)^k is taken as
+    -expm1(k log1p(-p)), as in ``expected_tests_per_person``, and is 1 at
+    p = 1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -109,7 +112,8 @@ def expected_tests(k: float, n: float, p: float) -> float:
         raise ValueError("n must be positive")
     if not 0.0 <= p <= 1.0:
         raise ValueError("prevalence must lie in [0, 1]")
-    return n + k * n * (1.0 - (1.0 - p) ** k)
+    retest = 1.0 if p == 1.0 else -math.expm1(k * math.log1p(-p))
+    return n + k * n * retest
 
 
 def expected_tests_per_person(k: float, p: float) -> float:

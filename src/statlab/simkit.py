@@ -54,6 +54,11 @@ def stream(
         key=_block_keys(root_seed, experiment_id, replicate_index, 1)[0])
 
 
+# The most replicates a study may run.  The engine returns n_reps floats per
+# output, and gof and estimator write a table row per replicate, size and
+# estimator (some 25 bytes), so each size adds at most about 50 MB of table.
+MAX_REPS = 10**6
+
 # The most words one block of a batched task may hold (a 128 KiB uint64
 # block), so memory stays bounded.
 _BLOCK_VALUES = 1 << 14

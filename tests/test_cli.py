@@ -8,7 +8,9 @@ import pytest
 import statlab
 from statlab import report
 from statlab.cli import OPTIONS, main, parse_config
+from statlab.mh import MAX_CHAIN_STEPS
 from statlab.report import RunConfig, run_and_report
+from statlab.simkit import MAX_REPS
 
 # A valid value of every option: its flag text (None for a switch) and the
 # same value as a config file holds it.
@@ -166,6 +168,40 @@ class TestParseConfig:
         assert main(["mh", "--config", str(cfg), "--out", str(out)]) == 2
         assert repr(key) in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"N": 5000,}', "Expecting property name"),
+        ('{"N": 1' + "0" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+    ])
+    def test_unparsable_config_file_is_usage_error_naming_it(self, text, message,
+                                                             tmp_path, capsys):
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["pooling", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config file {cfg}: {message}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["gof", "--reps", str(MAX_REPS)], "--reps"),
+        (["estimator", "--reps", str(MAX_REPS)], "--reps"),
+        (["pooling", "--reps", str(MAX_REPS)], "--reps"),
+        (["all", "--reps", str(MAX_REPS)], "--reps"),
+        (["mh", "--burn-in", "0", "--samples", str(MAX_CHAIN_STEPS)], "--samples"),
+        (["mh", "--burn-in", "10", "--samples", str(MAX_CHAIN_STEPS - 10)],
+         "--samples"),
+        (["mh", "--samples", "1", "--burn-in", str(MAX_CHAIN_STEPS - 1)],
+         "--burn-in"),
+    ])
+    def test_run_size_bound_admits_the_bound_only(self, argv, flag, capsys):
+        # builds plans only: nothing of this size is run
+        parse_config(argv)
+        past = [*argv[:-1], str(int(argv[-1]) + 1)]
+        with pytest.raises(SystemExit) as excinfo:
+            parse_config(past)
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_config_file_bool_and_path_keys(self, tmp_path):
         cfg = tmp_path / "conf.json"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,14 +181,18 @@ class TestRunChain:
         assert a.acceptance_rate == b.acceptance_rate
 
     def test_matches_stepwise_execution(self, monkeypatch):
-        # At the default chunk the chain is one chunk; chunks of 16 steps put
-        # the burn-in / sampling boundary before, inside and on a chunk edge.
-        cases = [(50, mh._CHUNK_STEPS), (0, 16), (5, 16), (37, 16), (48, 16)]
+        # (burn_in, n_samples, chunk): at the default chunk, a chain of one
+        # chunk, then one whose burn-in ends 30 steps before the first chunk
+        # edge and whose sampling ends 70 steps past it; chunks of 16 steps
+        # put the burn-in / sampling boundary before, inside and on an edge.
+        default = mh._CHUNK_STEPS
+        cases = [(50, 100, default), (default - 30, 100, default),
+                 (0, 100, 16), (5, 100, 16), (37, 100, 16), (48, 100, 16)]
         for sd in (0.3, 1.0, 2.5):
-            for burn_in, chunk in cases:
+            for burn_in, n_samples, chunk in cases:
                 monkeypatch.setattr(mh, "_CHUNK_STEPS", chunk)
                 config = MhConfig(proposal_sd=sd, burn_in=burn_in,
-                                  n_samples=100, initial_x=3.0)
+                                  n_samples=n_samples, initial_x=3.0)
                 bulk = run_chain(config, root_seed=77, experiment_id="stepwise")
                 draws = replicate_generator(77, "stepwise", 0)
                 x = config.initial_x
@@ -200,6 +205,18 @@ class TestRunChain:
                 assert np.array_equal(bulk.samples, np.array(samples)), (sd, burn_in)
                 assert bulk.accepted == accepted, (sd, burn_in)
                 assert bulk.acceptance_rate == accepted / config.n_samples
+
+    def test_peak_memory_is_samples_and_one_chunk(self):
+        # besides the samples array, one chunk's draws and floats stay well
+        # under a megabyte; 2**16-step chunks held several
+        config = MhConfig(burn_in=10_000, n_samples=50_000)
+        tracemalloc.start()
+        try:
+            samples = run_chain(config, root_seed=4).samples
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < samples.nbytes + (1 << 20)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from statlab import gof, mh
+from statlab import gof, mh, numerics
 from statlab.numerics import (
     QuadratureDivergenceError,
     histogram_vs_reference,
@@ -170,6 +171,28 @@ class TestHistogramVsReference:
         former = counts / (samples.size * width)
         assert np.array_equal(empirical, former)
         assert distance == float(np.max(np.abs(former - reference)))
+
+    def test_slices_count_as_one_whole_array_call(self):
+        # samples over several slices, the last one short, with edge values
+        # and out-of-window values among them
+        rng = np.random.default_rng(9)
+        samples = rng.normal(0.0, 2.0, size=3 * numerics._HISTOGRAM_SLICE + 17)
+        samples[::97] = rng.choice(mh.EDGES, size=samples[::97].size)
+        empirical, _ = histogram_vs_reference(samples, mh.EDGES, np.zeros(40))
+        counts, edges = np.histogram(samples, bins=40, range=(-3.0, 3.0))
+        width = edges[1] - edges[0]
+        assert np.array_equal(empirical, counts / (samples.size * width))
+
+    def test_allocates_under_a_megabyte_beyond_its_input(self):
+        # a whole-array np.histogram of 2M samples holds several 512 KB blocks
+        samples = np.random.default_rng(10).normal(size=2_000_000)
+        tracemalloc.start()
+        try:
+            histogram_vs_reference(samples, mh.EDGES, np.zeros(40))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_outside_samples_count_in_the_denominator_only(self):
         # two of the five samples fall outside [0, 2]; the right edge is in

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,6 +41,15 @@ class TestExpectedTests:
 
     def test_zero_prevalence_costs_one_test_per_pool(self):
         assert expected_tests(7, 300, 0.0) == 300.0
+
+    def test_certain_prevalence_retests_every_pool(self):
+        assert expected_tests(7, 300, 1.0) == 300.0 + 7 * 300
+
+    def test_tiny_prevalence_is_correctly_rounded(self):
+        # 1 - (1-p)**k from a rounded 1-p made the retest term 11 % high here
+        p = 2e-16
+        exact = 500 + 5000 * (1 - (1 - Fraction(p)) ** 10)
+        assert expected_tests(10, 500, p) == float(exact)
 
     def test_bounds(self):
         rng = np.random.default_rng(0)
