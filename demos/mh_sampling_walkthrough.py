@@ -10,7 +10,8 @@ Run: python demos/mh_sampling_walkthrough.py
 
 import numpy as np
 
-from statlab.mh import MhConfig, TargetDensity, density_distance, run_chain
+from statlab.mh import (MhConfig, TargetDensity, density_distance, iter_chain,
+                        run_chain)
 from statlab.numerics import integrate_real_line
 
 SEED = 20070420
@@ -27,25 +28,30 @@ print(f"integral of the unnormalized density: {quad.value:.6f} "
 print(f"normalizing constant c = 1/{quad.value:.6f} = {c:.6f}\n")
 
 # Step 2: run the chain with the standard configuration -- normal(x, 1)
-# proposals, 100k burn-in, 100k kept samples, started at x=3.
+# proposals, 100k burn-in, 100k kept samples, started at x=3.  run_chain
+# reduces the kept states as they come (acceptances, histogram counts, mean
+# and variance) and keeps none of them.
 chain = run_chain(MhConfig(), root_seed=SEED)
 print(f"chain of {chain.config.n_samples} samples "
       f"after {chain.config.burn_in} burn-in steps")
 print(f"acceptance rate: {chain.acceptance_rate:.3f}")
 
 # Step 3: does the sample look like the target?
-mean = chain.samples.mean()
-var = chain.samples.var()
 target_var = density.second_moment()
-print(f"sample mean     {mean:+.4f}   (target 0, by symmetry)")
-print(f"sample variance {var:.4f}   (target {target_var:.4f}, by quadrature)")
-print(f"fraction positive: {(chain.samples > 0).mean():.4f} (target 0.5)")
+print(f"sample mean     {chain.mean:+.4f}   (target 0, by symmetry)")
+print(f"sample variance {chain.variance:.4f}   (target {target_var:.4f}, "
+      f"by quadrature)")
 
-distance = density_distance(chain.samples, density, bins=40, lo=-3, hi=3)
+# The states themselves come from iter_chain, a chunk at a time; the same
+# seed gives the same chain.
+samples = np.concatenate([states for states, _ in iter_chain(chain.config, SEED)])
+print(f"fraction positive: {(samples > 0).mean():.4f} (target 0.5)")
+
+distance = density_distance(samples, density, bins=40, lo=-3, hi=3)
 print(f"\nsup histogram-vs-truth gap on [-3, 3], 40 bins: {distance:.4f}")
 
 # crude terminal histogram against the bin-averaged truth
-counts, edges = np.histogram(chain.samples, bins=20, range=(-3, 3))
+counts, edges = np.histogram(samples, bins=20, range=(-3, 3))
 peak = counts.max()
 print("\n      sample histogram")
 for j, count in enumerate(counts):

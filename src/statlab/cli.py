@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -68,6 +69,12 @@ _JSON_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
 
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
+
+
+def _field_flag(match: re.Match) -> str:
+    """The flag that sets a plan field, or the field when no option does."""
+    key = {f: k for k, f in PLAN_FIELDS.items()}.get(match[0], match[0])
+    return _flag(key) if key in OPTIONS else match[0]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,10 +142,9 @@ def parse_config(argv: list[str] | None) -> RunConfig:
         try:
             make_plan(name, options, values.get("reps"))
         except ValueError as exc:
-            # plan messages start with the field they reject
-            field, _, rest = str(exc).partition(" ")
-            key = {f: k for k, f in PLAN_FIELDS.items()}.get(field, field)
-            parser.error(f"{_flag(key) if key in OPTIONS else field} {rest}")
+            # plan messages start with the field they reject and name any
+            # other field they involve as "field = value"
+            parser.error(re.sub(r"^\w+|\b\w+(?= = )", _field_flag, str(exc)))
     return RunConfig(
         subcommand=args.subcommand,
         root_seed=values.get("seed", DEFAULT_SEED),

@@ -30,9 +30,9 @@ class EstimatorStudyPlan:
     n_reps: int = 1000
 
     def __post_init__(self):
-        if any(n < 4 for n in self.sample_sizes):
-            raise ValueError(f"sample_sizes must each be at least 4, got "
-                             f"{self.sample_sizes}")
+        if any(not 4 <= n <= simkit.MAX_ROW_DRAWS for n in self.sample_sizes):
+            raise ValueError(f"sample_sizes must each lie in [4, "
+                             f"{simkit.MAX_ROW_DRAWS}], got {self.sample_sizes}")
         if len(set(self.sample_sizes)) < len(self.sample_sizes):
             raise ValueError(f"sample_sizes must be distinct, got "
                              f"{self.sample_sizes}")

@@ -23,12 +23,14 @@ class GofPlan:
     n_reps: int = 10_000
 
     def __post_init__(self):
-        if self.bins < 2:
-            raise ValueError(f"bins must be at least 2, got {self.bins}")
+        if not 2 <= self.bins <= simkit.MAX_ROW_DRAWS:
+            raise ValueError(f"bins must lie in [2, {simkit.MAX_ROW_DRAWS}], got "
+                             f"{self.bins}")
         for n in self.sample_sizes:
-            if n < self.bins or n % self.bins != 0:
-                raise ValueError(f"sample_sizes must be positive multiples of "
-                                 f"the bin count {self.bins}, got {n}")
+            if n < self.bins or n % self.bins != 0 or n > simkit.MAX_ROW_DRAWS:
+                raise ValueError(f"sample_sizes must be multiples of bins = "
+                                 f"{self.bins} and at most "
+                                 f"{simkit.MAX_ROW_DRAWS}, got {n}")
         if len(set(self.sample_sizes)) < len(self.sample_sizes):
             raise ValueError(f"sample_sizes must be distinct, got "
                              f"{self.sample_sizes}")

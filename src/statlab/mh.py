@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
-from .numerics import (histogram_vs_reference, integrate_interval,
-                       integrate_real_line)
+from .numerics import (histogram_counts, histogram_vs_reference,
+                       integrate_interval, integrate_real_line)
 from .simkit import normals_from_uniforms, stream
 
 
@@ -53,9 +54,8 @@ class TargetDensity:
 # The widest proposal: a step is at most 37.05 sd (ndtri of the clamped
 # uniform), so the chain's y**4 stays finite.
 MAX_PROPOSAL_SD = 1e75
-# The longest chain, burn-in included: its samples array is at most 800 MB,
-# and it runs for about 40 s at the 2.5M steps per second of a 2-vCPU x86-64
-# host.
+# The longest chain, burn-in included: it runs for about 40 s at the 2.5M
+# steps per second of a 2-vCPU x86-64 host.
 MAX_CHAIN_STEPS = 10**8
 
 
@@ -76,36 +76,44 @@ class MhConfig:
         most = MAX_CHAIN_STEPS - self.burn_in
         if not 1 <= self.n_samples <= most:
             raise ValueError(f"n_samples must lie in [1, {most}] (the longest "
-                             f"chain's {MAX_CHAIN_STEPS} steps less the burn-in), "
-                             f"got {self.n_samples}")
+                             f"chain's {MAX_CHAIN_STEPS} steps less burn_in = "
+                             f"{self.burn_in}), got {self.n_samples}")
+
+
+# The window on which a chain's histogram is set beside the target: [-3, 3]
+# in 40 bins.
+EDGES = np.linspace(-3.0, 3.0, 41)
 
 
 @dataclass(frozen=True)
 class ChainResult:
-    samples: np.ndarray
-    acceptance_rate: float
+    """The kept states' acceptances, counts on ``EDGES``, mean and variance."""
     config: MhConfig
-    accepted: int = field(repr=False, default=0)
+    accepted: int
+    acceptance_rate: float
+    counts: np.ndarray = field(repr=False)
+    mean: float
+    variance: float
 
 
 # Steps drawn at once.  A chunk's uniforms (64 KB), its lists of Python floats
 # and the arrays behind them come to about 0.5 MB, which bounds the chain's
-# working set besides the samples array.
+# working set whatever its length.
 _CHUNK_STEPS = 1 << 12
 
 
-def run_chain(config: MhConfig, root_seed: int,
-              experiment_id: str = "mh-chain") -> ChainResult:
-    """Burn in, then collect n_samples states of the random-walk chain.
+def iter_chain(config: MhConfig, root_seed: int, experiment_id: str = "mh-chain"
+               ) -> Iterator[tuple[np.ndarray, int]]:
+    """Burn in, then yield the chain's kept states as a float64 array per
+    chunk of ``_CHUNK_STEPS`` steps, with the moves accepted among them; a
+    chunk of burn-in only yields nothing.
 
     Each step takes two uniforms of ``stream(root_seed, experiment_id, 0)``
     (``Generator.random``), a proposal normal's and then an acceptance
     uniform, and moves to the proposal when the uniform's log is below the
-    log density ratio.  The draws are taken ``_CHUNK_STEPS`` steps
-    at a time and turned into Python floats, so besides the ``n_samples``
-    array the chain holds one chunk's draws (well under 1 MB) whatever its
-    length.  The step rule is written out in the loops, which call no Python
-    function per step; burn-in steps are neither counted nor stored.
+    log density ratio.  The step rule is written out here alone, in a loop
+    for burn-in and one for kept steps over a chunk's draws as Python
+    floats; they call no Python function per step.
     """
     draws = np.random.Generator(stream(root_seed, experiment_id, 0))
     sd = config.proposal_sd
@@ -114,8 +122,6 @@ def run_chain(config: MhConfig, root_seed: int,
     x = config.initial_x
     log_gx = log_unnormalized(x)
     log1p = math.log1p
-    samples = np.empty(config.n_samples)
-    accepted = 0
     for start in range(0, total, _CHUNK_STEPS):
         m = min(_CHUNK_STEPS, total - start)
         us = draws.random(2 * m)
@@ -127,7 +133,7 @@ def run_chain(config: MhConfig, root_seed: int,
             log_gy = 3.0 * log1p(abs(y)) - y**4
             if lu < log_gy - log_gx:
                 x, log_gx = y, log_gy
-        kept = []
+        kept, accepted = [], 0
         keep = kept.append
         for d, lu in zip(dz[split:], log_u[split:]):
             y = x + d
@@ -136,18 +142,33 @@ def run_chain(config: MhConfig, root_seed: int,
                 x, log_gx = y, log_gy
                 accepted += 1
             keep(x)
-        samples[start + split - burn_in:start + m - burn_in] = kept
-    return ChainResult(
-        samples=samples,
-        acceptance_rate=accepted / config.n_samples,
-        config=config,
-        accepted=accepted,
-    )
+        if kept:
+            yield np.array(kept), accepted
 
 
-# The window on which a chain's histogram is set beside the target: [-3, 3]
-# in 40 bins.
-EDGES = np.linspace(-3.0, 3.0, 41)
+def run_chain(config: MhConfig, root_seed: int,
+              experiment_id: str = "mh-chain") -> ChainResult:
+    """The chain of ``iter_chain``, reduced a chunk at a time: besides one
+    chunk it keeps three floats per chunk (about 2 MB at ``MAX_CHAIN_STEPS``).
+    The mean is the ``math.fsum`` of the chunks' sums over n; the variance
+    merges the chunks' squared deviations by Chan, Golub & LeVeque's pairwise
+    update, summed by ``math.fsum``."""
+    counts = np.zeros(len(EDGES) - 1, dtype=np.int64)
+    sums, squares, accepted, n, mean = [], [], 0, 0, 0.0
+    for states, moved in iter_chain(config, root_seed, experiment_id):
+        accepted += moved
+        counts += histogram_counts(states, EDGES)
+        k, total = len(states), float(states.sum())
+        sums.append(total)
+        d = states - total / k
+        delta = total / k - mean
+        n += k
+        mean += delta * k / n
+        # the chunk's own squared deviations, and what merging its mean adds
+        squares += float(np.square(d, out=d).sum()), delta**2 * (n - k) * k / n
+    return ChainResult(config=config, accepted=accepted,
+                       acceptance_rate=accepted / n, counts=counts,
+                       mean=math.fsum(sums) / n, variance=math.fsum(squares) / n)
 
 
 def binned_true_density(density: TargetDensity, edges: np.ndarray) -> np.ndarray:

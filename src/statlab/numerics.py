@@ -217,28 +217,39 @@ def solve_root(
 _HISTOGRAM_SLICE = 1 << 13
 
 
-def histogram_vs_reference(
-    samples: Sequence[float], edges: np.ndarray, reference: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Empirical density of the samples on equal bins beside a reference.
-
-    ``edges`` are the bins' equally spaced edges and ``reference`` the
-    reference density's average over each bin.  Each bin's count is divided
-    by the whole sample size times the bin width, so samples outside
-    [edges[0], edges[-1]] count in the denominator only.  Returns the
-    empirical densities and the sup over bins of |empirical - reference|.
+def histogram_counts(samples: Sequence[float], edges: np.ndarray) -> np.ndarray:
+    """int64 counts of the samples on ``np.histogram``'s bins over equally
+    spaced ``edges``; samples outside [edges[0], edges[-1]] are not counted.
     The counts are summed over slices of ``_HISTOGRAM_SLICE`` samples, which
     bin each sample as one whole-array call would, so a long sample adds no
     temporaries of its own length.
     """
     x = np.asarray(samples, dtype=float)
-    if x.size == 0:
-        raise ValueError("samples must be non-empty")
     bins, span = len(edges) - 1, (edges[0], edges[-1])
-    counts = sum(np.histogram(x[start:start + _HISTOGRAM_SLICE], bins, span)[0]
-                 for start in range(0, x.size, _HISTOGRAM_SLICE))
-    empirical = counts / (x.size * (edges[1] - edges[0]))
+    counts = np.zeros(bins, dtype=np.int64)
+    for start in range(0, x.size, _HISTOGRAM_SLICE):
+        counts += np.histogram(x[start:start + _HISTOGRAM_SLICE], bins, span)[0]
+    return counts
+
+
+def density_vs_reference(counts: np.ndarray, n: int, edges: np.ndarray,
+                         reference: np.ndarray) -> tuple[np.ndarray, float]:
+    """Empirical density of ``n`` samples with ``counts`` on equal bins, and
+    its sup distance from ``reference``, the reference density's average
+    over each bin.  Each count is divided by ``n`` times the bin width, so
+    samples outside [edges[0], edges[-1]] count in the denominator only.
+    """
+    if n < 1:
+        raise ValueError("samples must be non-empty")
+    empirical = counts / (n * (edges[1] - edges[0]))
     return empirical, float(np.max(np.abs(empirical - reference)))
+
+
+def histogram_vs_reference(samples: Sequence[float], edges: np.ndarray,
+                           reference: np.ndarray) -> tuple[np.ndarray, float]:
+    """``density_vs_reference`` of the samples' ``histogram_counts``."""
+    return density_vs_reference(histogram_counts(samples, edges), len(samples),
+                                edges, reference)
 
 
 def quantile_type7(

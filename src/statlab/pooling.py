@@ -36,9 +36,6 @@ class PoolingDesign:
 # uniforms_below cannot simulate p.  It also keeps the continuous optimum,
 # about 1/sqrt(p), below ~9.5e7, where floats are finer than the searches' tol.
 MIN_P = 2.0**-53
-# The largest population: one replicate's row is N 8-byte words, and each of
-# the two wide-row threads holds one.
-MAX_N = 10**7
 
 
 @dataclass(frozen=True)
@@ -53,15 +50,15 @@ class PoolingPlan:
     def __post_init__(self):
         if not MIN_P <= self.p < 1.0:
             raise ValueError(f"p must lie in [2**-53, 1), got {self.p}")
-        if self.N > MAX_N:
-            raise ValueError(f"N must be at most {MAX_N}, got {self.N}")
+        if self.N > simkit.MAX_ROW_DRAWS:
+            raise ValueError(f"N must be at most {simkit.MAX_ROW_DRAWS}, got "
+                             f"{self.N}")
         if len(self.k_range) != 2 or not (
                 2 <= self.k_range[0] < self.k_range[1] <= self.N):
             raise ValueError(f"k_range must satisfy 2 <= lo < hi <= N = "
                              f"{self.N}, got {self.k_range}")
         if not self.candidates:
-            lo, hi = self.k_range
-            raise ValueError(f"N must have a divisor between {lo} and {hi}, "
+            raise ValueError(f"N must have a divisor in k_range = {self.k_range}, "
                              f"got {self.N}")
         if not 1 <= self.n_reps <= simkit.MAX_REPS:
             raise ValueError(f"n_reps must lie in [1, {simkit.MAX_REPS}], got "

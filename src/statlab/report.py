@@ -8,7 +8,6 @@ Rerunning with the same configuration produces byte-identical tables.
 from __future__ import annotations
 
 import json
-import math
 import platform
 import sys
 from dataclasses import dataclass, field
@@ -59,8 +58,6 @@ def make_plan(name: str, options: dict, n_reps: int | None):
 
 # Rows formatted per write; bounds the cell strings held at once to about 1 MB.
 _CHUNK_ROWS = 4096
-# Samples per chunk of the MH variance, so no full-length temporary is made.
-_CHUNK_SAMPLES = 1 << 16
 
 
 def _format_column(values: np.ndarray) -> list[str]:
@@ -155,20 +152,6 @@ def run_pooling(config: RunConfig):
     return tables, figs, summary, warnings
 
 
-def _variance(x: np.ndarray) -> float:
-    """Population variance by two passes over ``_CHUNK_SAMPLES`` at a time.
-
-    ``x.var()`` holds a full-length temporary; this holds one chunk's.  The
-    value can differ from it in the last bits, as the sums group differently.
-    """
-    mean = x.mean()
-    squares = []
-    for i in range(0, len(x), _CHUNK_SAMPLES):
-        d = x[i:i + _CHUNK_SAMPLES] - mean
-        squares.append(float(np.square(d, out=d).sum()))
-    return math.fsum(squares) / len(x)
-
-
 def run_mh(config: RunConfig):
     mh_config = make_plan("mh", config.options, config.n_reps)
     warnings = []
@@ -183,8 +166,8 @@ def run_mh(config: RunConfig):
     density = mh.TargetDensity()
     result = mh.run_chain(mh_config, config.root_seed)
     true_avg = mh.binned_true_density(density, mh.EDGES)
-    empirical, distance = numerics.histogram_vs_reference(
-        result.samples, mh.EDGES, true_avg)
+    empirical, distance = numerics.density_vs_reference(
+        result.counts, mh_config.n_samples, mh.EDGES, true_avg)
     grid = np.linspace(mh.EDGES[0], mh.EDGES[-1], 201)
     pdf = [density.pdf(y) for y in grid]
     tables = {
@@ -212,8 +195,8 @@ def run_mh(config: RunConfig):
         "burn_in": mh_config.burn_in,
         "n_samples": mh_config.n_samples,
         "acceptance_rate": result.acceptance_rate,
-        "sample_mean": float(result.samples.mean()),
-        "sample_variance": _variance(result.samples),
+        "sample_mean": result.mean,
+        "sample_variance": result.variance,
         "target_variance_quadrature": density.second_moment(),
         "density_distance": distance,
     }

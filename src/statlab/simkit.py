@@ -58,6 +58,10 @@ def stream(
 # output, and gof and estimator write a table row per replicate, size and
 # estimator (some 25 bytes), so each size adds at most about 50 MB of table.
 MAX_REPS = 10**6
+# The widest replicate row: a pooling population, or a gof or estimator
+# sample size or gof bin count.  A row is that many 8-byte words or floats
+# (80 MB at the bound), and each of the two wide-row threads holds one.
+MAX_ROW_DRAWS = 10**7
 
 # The most words one block of a batched task may hold (a 128 KiB uint64
 # block), so memory stays bounded.

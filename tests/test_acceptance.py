@@ -14,7 +14,8 @@ import pytest
 from statlab import gof, mh, pooling
 from statlab.cli import main
 from statlab.estimators import EstimatorStudyPlan, run_estimator_study
-from statlab.numerics import integrate_real_line, solve_root
+from statlab.numerics import (density_vs_reference, integrate_real_line,
+                              solve_root)
 
 SEED = 20070420
 
@@ -100,10 +101,13 @@ def test_criterion_06_mh_correctness():
     t0 = time.perf_counter()
     density = mh.TargetDensity()
     chain = mh.run_chain(mh.MhConfig(), root_seed=SEED)
-    distance = mh.density_distance(chain.samples, density, bins=40, lo=-3, hi=3)
+    # the chain's streamed counts on mh.EDGES: 40 bins on [-3, 3]
+    reference = mh.binned_true_density(density, mh.EDGES)
+    distance = density_vs_reference(chain.counts, chain.config.n_samples,
+                                    mh.EDGES, reference)[1]
     elapsed = time.perf_counter() - t0
-    mean = chain.samples.mean()
-    var = chain.samples.var()
+    mean = chain.mean
+    var = chain.variance
     target_var = density.second_moment()
     ok = (
         abs(mean) <= 0.05

@@ -1,4 +1,5 @@
 import json
+import math
 import platform
 from importlib import metadata
 from pathlib import Path
@@ -8,9 +9,10 @@ import pytest
 import statlab
 from statlab import report
 from statlab.cli import OPTIONS, main, parse_config
-from statlab.mh import MAX_CHAIN_STEPS
+from statlab.estimators import MAX_TRUE_SD
+from statlab.mh import MAX_CHAIN_STEPS, MAX_PROPOSAL_SD
 from statlab.report import RunConfig, run_and_report
-from statlab.simkit import MAX_REPS
+from statlab.simkit import MAX_REPS, MAX_ROW_DRAWS
 
 # A valid value of every option: its flag text (None for a switch) and the
 # same value as a config file holds it.
@@ -193,6 +195,10 @@ class TestParseConfig:
          "--samples"),
         (["mh", "--samples", "1", "--burn-in", str(MAX_CHAIN_STEPS - 1)],
          "--burn-in"),
+        (["pooling", "--N", str(MAX_ROW_DRAWS)], "--N"),
+        (["estimator", "--sizes", str(MAX_ROW_DRAWS)], "--sizes"),
+        (["gof", "--sizes", str(MAX_ROW_DRAWS), "--bins", str(MAX_ROW_DRAWS)],
+         "--bins"),
     ])
     def test_run_size_bound_admits_the_bound_only(self, argv, flag, capsys):
         # builds plans only: nothing of this size is run
@@ -276,6 +282,55 @@ class TestParseConfig:
         assert config.options["k_range"] == (2, 10)
         config = parse_config(["estimator", "--sizes", "100,400"])
         assert config.options["sizes"] == (100, 400)
+
+
+# Each option's upper bound, where it has one; a float bound's "bound + 1"
+# is the next float up.
+OPTION_BOUNDS = {
+    "reps": MAX_REPS, "N": MAX_ROW_DRAWS, "k_range": MAX_ROW_DRAWS, "p": 1.0,
+    "burn_in": MAX_CHAIN_STEPS, "samples": MAX_CHAIN_STEPS,
+    "proposal_sd": MAX_PROPOSAL_SD, "sizes": MAX_ROW_DRAWS,
+    "sigma": MAX_TRUE_SD, "bins": MAX_ROW_DRAWS,
+}
+
+
+def _edge_values(key: str) -> list:
+    values = [0, 1, -1, 10**400, "x"]
+    bound = OPTION_BOUNDS.get(key)
+    if isinstance(bound, int):
+        values += [bound, bound + 1]
+    elif bound is not None:
+        values += [bound, math.nextafter(bound, math.inf)]
+    return values
+
+
+@pytest.mark.parametrize("key, subcommand", [
+    (key, sub) for key, option in OPTIONS.items() for sub in option.subcommands
+])
+def test_option_space_is_parsed_or_a_usage_error(key, subcommand, tmp_path,
+                                                 capsys):
+    # every edge value of every option, by flag and by config file: either
+    # parse_config returns, or it exits 2 naming the flag or the key in its
+    # message.  Plans are built, nothing is run.
+    flag = "--" + key.replace("_", "-")
+    cfg = tmp_path / "conf.json"
+    for value in _edge_values(key):
+        text = str(value)
+        if key == "k_range":  # the edge value as the range's top
+            text, value = f"2:{value}", value if value == "x" else [2, value]
+        elif key == "sizes":
+            value = value if value == "x" else [value]
+        cfg.write_text(json.dumps({key: value}))
+        cases = [([subcommand, "--config", str(cfg)], (flag, repr(key)))]
+        if OPTIONS[key].parse is not None:
+            cases.append(([subcommand, flag, text], (flag,)))
+        for argv, names in cases:
+            try:
+                parse_config(argv)
+            except SystemExit as exc:
+                message = capsys.readouterr().err.strip().splitlines()[-1]
+                assert exc.code == 2, (argv, message)
+                assert any(name in message for name in names), (argv, message)
 
 
 class TestRunAndReport:

@@ -178,6 +178,12 @@ class TestStudy:
         with pytest.raises(ValueError):
             EstimatorStudyPlan(true_sd=1.01 * MAX_TRUE_SD)
 
+    def test_sample_size_bound(self):
+        # a sample is one replicate row; the bound itself is taken
+        EstimatorStudyPlan(sample_sizes=(simkit.MAX_ROW_DRAWS,))
+        with pytest.raises(ValueError, match="^sample_sizes "):
+            EstimatorStudyPlan(sample_sizes=(100, simkit.MAX_ROW_DRAWS + 1))
+
     def test_largest_sigma_stays_finite(self):
         plan = EstimatorStudyPlan(true_sd=MAX_TRUE_SD, n_reps=20)
         res = run_estimator_study(plan, root_seed=4)

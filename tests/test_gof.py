@@ -143,6 +143,16 @@ class TestSimulate:
         with pytest.raises(ValueError):
             GofPlan(n_reps=0)
 
+    def test_row_width_bound(self):
+        # sample sizes and the bin count are at most one replicate row wide
+        GofPlan(bins=2, sample_sizes=(simkit.MAX_ROW_DRAWS,))
+        GofPlan(bins=simkit.MAX_ROW_DRAWS, sample_sizes=(simkit.MAX_ROW_DRAWS,))
+        with pytest.raises(ValueError, match="^sample_sizes "):
+            GofPlan(bins=2, sample_sizes=(simkit.MAX_ROW_DRAWS + 2,))
+        with pytest.raises(ValueError, match="^bins "):
+            GofPlan(bins=simkit.MAX_ROW_DRAWS + 1,
+                    sample_sizes=(2 * simkit.MAX_ROW_DRAWS + 2,))
+
 
 class TestChisqDensity:
     def test_df2_at_zero(self):

@@ -12,6 +12,7 @@ from statlab.mh import (
     MhConfig,
     TargetDensity,
     density_distance,
+    iter_chain,
     log_unnormalized,
     run_chain,
     unnormalized,
@@ -28,6 +29,12 @@ def acceptance_prob(x: float, y: float) -> float:
 def proposal(x: float, draws: np.random.Generator, sd: float = 1.0) -> float:
     """x plus a normal step made of one uniform by the inverse CDF."""
     return x + sd * float(ndtri(max(draws.random(), 1e-300)))
+
+
+def chain_states(config: MhConfig, root_seed: int, **kwargs) -> np.ndarray:
+    """Every kept state of the chain, joined from ``iter_chain``'s chunks."""
+    return np.concatenate([states for states, _ in
+                           iter_chain(config, root_seed, **kwargs)])
 
 
 def mh_step(x: float, draws: np.random.Generator,
@@ -153,32 +160,40 @@ def default_chain():
     return run_chain(MhConfig(), root_seed=20070420)
 
 
+@pytest.fixture(scope="module")
+def default_samples():
+    return chain_states(MhConfig(), root_seed=20070420)
+
+
 class TestRunChain:
-    def test_sample_count_and_finiteness(self, default_chain):
-        assert default_chain.samples.shape == (100_000,)
-        assert np.all(np.isfinite(default_chain.samples))
+    def test_sample_count_and_finiteness(self, default_samples):
+        assert default_samples.shape == (100_000,)
+        assert np.all(np.isfinite(default_samples))
 
-    def test_mean_near_zero(self, default_chain):
-        assert abs(default_chain.samples.mean()) < 0.05
+    def test_mean_near_zero(self, default_samples):
+        assert abs(default_samples.mean()) < 0.05
 
-    def test_variance_matches_quadrature(self, default_chain, density):
+    def test_variance_matches_quadrature(self, default_samples, density):
         target_var = density.second_moment()
-        assert default_chain.samples.var() == pytest.approx(target_var, rel=0.10)
+        assert default_samples.var() == pytest.approx(target_var, rel=0.10)
 
     def test_acceptance_rate_band(self, default_chain):
         # pilot-run regression band, not an external reference
         assert 0.2 < default_chain.acceptance_rate < 0.8
 
-    def test_symmetry_of_output(self, default_chain):
-        assert abs((default_chain.samples > 0).mean() - 0.5) < 0.02
+    def test_symmetry_of_output(self, default_samples):
+        assert abs((default_samples > 0).mean() - 0.5) < 0.02
 
     def test_seed_determinism(self):
         config = MhConfig(burn_in=500, n_samples=500)
         a = run_chain(config, root_seed=5)
         b = run_chain(config, root_seed=5)
         assert isinstance(a, ChainResult)
-        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(chain_states(config, root_seed=5),
+                              chain_states(config, root_seed=5))
         assert a.acceptance_rate == b.acceptance_rate
+        assert np.array_equal(a.counts, b.counts)
+        assert (a.mean, a.variance) == (b.mean, b.variance)
 
     def test_matches_stepwise_execution(self, monkeypatch):
         # (burn_in, n_samples, chunk): at the default chunk, a chain of one
@@ -194,6 +209,8 @@ class TestRunChain:
                 config = MhConfig(proposal_sd=sd, burn_in=burn_in,
                                   n_samples=n_samples, initial_x=3.0)
                 bulk = run_chain(config, root_seed=77, experiment_id="stepwise")
+                states = chain_states(config, root_seed=77,
+                                      experiment_id="stepwise")
                 draws = replicate_generator(77, "stepwise", 0)
                 x = config.initial_x
                 samples, accepted = [], 0
@@ -202,21 +219,46 @@ class TestRunChain:
                     if i >= config.burn_in:
                         samples.append(x)
                         accepted += moved
-                assert np.array_equal(bulk.samples, np.array(samples)), (sd, burn_in)
+                assert np.array_equal(states, np.array(samples)), (sd, burn_in)
                 assert bulk.accepted == accepted, (sd, burn_in)
                 assert bulk.acceptance_rate == accepted / config.n_samples
 
-    def test_peak_memory_is_samples_and_one_chunk(self):
-        # besides the samples array, one chunk's draws and floats stay well
-        # under a megabyte; 2**16-step chunks held several
-        config = MhConfig(burn_in=10_000, n_samples=50_000)
+    def test_peak_memory_is_one_chunk(self):
+        # the chain holds one chunk's draws, floats and kept states, well
+        # under a megabyte; its 200 000 states would take 1.6 MB
+        config = MhConfig(burn_in=10_000, n_samples=200_000)
         tracemalloc.start()
         try:
-            samples = run_chain(config, root_seed=4).samples
+            run_chain(config, root_seed=4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < samples.nbytes + (1 << 20)
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("burn_in, n_samples, chunk", [
+        (1000, 20_000, None), (0, 1, None), (37, 100, 16), (48, 100, 16),
+    ])
+    def test_stream_reduces_to_the_joined_states(self, burn_in, n_samples,
+                                                 chunk, monkeypatch):
+        # counts exactly, mean and variance to rounding, whatever the chunks
+        if chunk is not None:
+            monkeypatch.setattr(mh, "_CHUNK_STEPS", chunk)
+        config = MhConfig(burn_in=burn_in, n_samples=n_samples)
+        result = run_chain(config, root_seed=8)
+        samples = chain_states(config, root_seed=8)
+        counts, _ = np.histogram(samples, bins=len(mh.EDGES) - 1,
+                                 range=(mh.EDGES[0], mh.EDGES[-1]))
+        assert result.counts.dtype == np.int64
+        assert np.array_equal(result.counts, counts)
+        assert abs(result.mean - samples.mean()) <= 1e-15
+        assert math.isclose(result.variance, samples.var(), rel_tol=1e-14)
+
+    def test_burn_in_chunks_yield_nothing(self, monkeypatch):
+        # 40 burn-in steps in chunks of 16: the first two chunks keep nothing
+        monkeypatch.setattr(mh, "_CHUNK_STEPS", 16)
+        config = MhConfig(burn_in=40, n_samples=30)
+        sizes = [len(states) for states, _ in iter_chain(config, root_seed=2)]
+        assert sizes == [8, 16, 6]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -231,13 +273,12 @@ class TestRunChain:
         # the largest step, from the clamped uniform, keeps y**4 finite
         assert math.isfinite(log_unnormalized(mh.MAX_PROPOSAL_SD * ndtri(1e-300)))
         config = MhConfig(proposal_sd=mh.MAX_PROPOSAL_SD, burn_in=0, n_samples=1000)
-        assert np.all(np.isfinite(run_chain(config, root_seed=3).samples))
+        assert np.all(np.isfinite(chain_states(config, root_seed=3)))
 
 
 class TestDensityDistance:
-    def test_mh_samples_close(self, density):
-        chain = run_chain(MhConfig(), root_seed=20070420)
-        assert density_distance(chain.samples, density) < 0.02
+    def test_mh_samples_close(self, density, default_samples):
+        assert density_distance(default_samples, density) < 0.02
 
     def test_rejection_oracle_close(self, density):
         samples = rejection_sample_target(100_000, seed=314)

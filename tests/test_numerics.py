@@ -7,6 +7,8 @@ import pytest
 from statlab import gof, mh, numerics
 from statlab.numerics import (
     QuadratureDivergenceError,
+    density_vs_reference,
+    histogram_counts,
     histogram_vs_reference,
     integrate_interval,
     integrate_real_line,
@@ -205,6 +207,34 @@ class TestHistogramVsReference:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             histogram_vs_reference([], gof.EDGES, np.zeros(40))
+
+    def test_counts_of_parts_add_up_to_the_whole(self):
+        # what a stream of chunks relies on: ragged parts, edge values and
+        # out-of-window values among them
+        rng = np.random.default_rng(11)
+        samples = rng.normal(0.0, 2.0, size=10_001)
+        samples[::53] = rng.choice(mh.EDGES, size=samples[::53].size)
+        whole = histogram_counts(samples, mh.EDGES)
+        parts = sum(histogram_counts(part, mh.EDGES)
+                    for part in np.split(samples, [1, 4096, 4097, 9000]))
+        assert whole.dtype == np.int64
+        assert np.array_equal(parts, whole)
+        assert np.array_equal(whole, np.histogram(samples, 40, (-3.0, 3.0))[0])
+        assert np.array_equal(histogram_counts([], mh.EDGES), np.zeros(40))
+
+    def test_density_of_counts_is_the_histogram_of_samples(self):
+        rng = np.random.default_rng(12)
+        samples = rng.normal(10.0, 6.0, size=777)
+        reference = rng.uniform(0.0, 0.1, size=40)
+        counts = histogram_counts(samples, gof.EDGES)
+        from_counts = density_vs_reference(counts, samples.size, gof.EDGES,
+                                           reference)
+        from_samples = histogram_vs_reference(samples, gof.EDGES, reference)
+        assert np.array_equal(from_counts[0], from_samples[0])
+        assert from_counts[1] == from_samples[1]
+        with pytest.raises(ValueError, match="non-empty"):
+            density_vs_reference(np.zeros(40, dtype=np.int64), 0, gof.EDGES,
+                                 reference)
 
 
 class TestSummarize:

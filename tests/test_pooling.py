@@ -7,7 +7,6 @@ import pytest
 from oracles import replicate_generator
 from statlab import simkit
 from statlab.pooling import (
-    MAX_N,
     MIN_P,
     POOLING_HELPS_BELOW,
     POOLING_HELPS_INTEGER_BELOW,
@@ -316,7 +315,7 @@ class TestPoolingPlan:
         ({"N": 97}, "N"),
         ({"n_reps": 0}, "n_reps"),
         ({"p": MIN_P / 2}, "p"),
-        ({"N": MAX_N + 1}, "N"),
+        ({"N": simkit.MAX_ROW_DRAWS + 1}, "N"),
         ({"N": 10**400}, "N"),
     ])
     def test_invalid_plan_message_starts_with_its_field(self, kwargs, field):

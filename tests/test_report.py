@@ -135,15 +135,6 @@ def test_run_and_report_writes_exactly_the_listed_files(subcommand, options,
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
-@pytest.mark.parametrize("chunk", [7, 100, 1 << 16])
-def test_chunked_variance(chunk, monkeypatch):
-    # two passes a chunk at a time, whole or ragged, agree with numpy's var
-    monkeypatch.setattr(report, "_CHUNK_SAMPLES", chunk)
-    x = 1.0 + 3.0 * np.random.default_rng(chunk).standard_normal(100)
-    assert math.isclose(report._variance(x), x.var(), rel_tol=1e-14)
-    assert report._variance(np.full(10, 2.5)) == 0.0
-
-
 def test_run_gof_distances_are_shape_distance(monkeypatch):
     # one reference quadrature for every sample size, and the same distances,
     # bit for bit, as gof.shape_distance computes on its own
