@@ -1,8 +1,8 @@
-"""Golden SHA-256 digests of the tables the CLI writes.
+"""Golden SHA-256 digests of the tables and SVG figures the CLI writes.
 
 A change that claims to alter no numbers proves it here: every digest below
 was recorded from the CLI before the code it pins was last rewritten, and must
-still match byte for byte.
+still match byte for byte.  Every run writes its figures too.
 """
 
 import hashlib
@@ -11,13 +11,15 @@ import pytest
 
 from statlab.cli import main
 
-# Every table each short-replicate subcommand writes at its default settings.
+# Every file each short-replicate subcommand writes at its default settings.
 DEFAULT_TABLES = {
     "pooling": {
         "pooling_candidates.csv":
             "4fac5f8804e1e98c29b17c8736d6c5e58a0d9b5b7c95c8a79ef655fa5eab70e5",
         "pooling_cost_curve.csv":
             "1cfea9a5b28978c74dc7789f3eed39f7ce6cd1175d784b708b92e91a12c71805",
+        "pooling_cost_curve.svg":
+            "40c326cc1ef3476cd2cbc94e6a90c04ae76a6b01bac7e02db32496387dc460fe",
     },
     "gof": {
         "gof_statistics.csv":
@@ -26,16 +28,22 @@ DEFAULT_TABLES = {
             "f5c383647a32fe377f678b622398cff172f33bd5125df3658f8900d4ab449d9e",
         "gof_overlay_n64.csv":
             "483552240f4e1c29d624d3c1ab4086bb974e591b3cd7669b2fb34f57d6cfeb2e",
+        "gof_overlay_n16.svg":
+            "4aaee22089d6c2d9a0e4e6a3475b48c3826ce9e7df3132d9b312ca40850a6e3d",
+        "gof_overlay_n64.svg":
+            "1b93ffb9b3c7de50ad0a77da42f38068eff40557ae32d9d00e043e50dcc4a624",
     },
     "estimator": {
         "estimator_distributions.csv":
             "72c7d88370031a67bc3bff28c192e83e2171d0a6ba843b712e89d4e36912dfea",
         "estimator_summary.csv":
             "2e4dcc66f9ef888c09a0f7f2a985ec5030664eeaeb9e08163bcdca2d4719e898",
+        "estimator_box.svg":
+            "0ce01ca02316c79aa64bebb606a058f5b9da7ee49c5b801d98d91e5f9845873b",
     },
 }
 
-# (flags, pooling tables) for non-default pooling runs.  N = 60 puts many
+# (flags, pooling files) for non-default pooling runs.  N = 60 puts many
 # replicates in one block of draws, N = 16400 one replicate per block, drawn
 # on two threads.  150 such rows are more than two runs of 64 and not a
 # multiple of 64, so however the rows are handed out, both threads take
@@ -48,12 +56,16 @@ POOLING_RUNS = [
             "88fcca8297bf3cd17a68bfe4f21462ee6f717acc591ee3ae7bc20ca89881dae2",
         "pooling_cost_curve.csv":
             "3084cec2a4f3a554665383acb8f9294281b110978564ead2c3243c7502a1a35d",
+        "pooling_cost_curve.svg":
+            "b16fd46ae462d999c0e6038b5abb61ceca750ebafc15e1781d655104b364d2fc",
     }),
     (["--N", "16400", "--k-range", "2:5", "--reps", "50"], {
         "pooling_candidates.csv":
             "72c41550b434f23fd798ac95dde598486e57632b7741cc0b29dbe36b6eb42e8c",
         "pooling_cost_curve.csv":
             "bb97afd3988ceeb910a1ce487dbaaba1af02a28bd4b6d41ffcd0400dccda7386",
+        "pooling_cost_curve.svg":
+            "d1fa7eaaff46db257fe8a6245ffbb5df191033e7da154779ddcf7dab92a92182",
     }),
     (["--workers", "2"], DEFAULT_TABLES["pooling"]),
     (["--N", "16400", "--k-range", "2:5", "--reps", "150"], {
@@ -61,16 +73,20 @@ POOLING_RUNS = [
             "f369b9e241d35e389439121ed3478d4d65834a85fef89b8748a2f67d481cff47",
         "pooling_cost_curve.csv":
             "bb97afd3988ceeb910a1ce487dbaaba1af02a28bd4b6d41ffcd0400dccda7386",
+        "pooling_cost_curve.svg":
+            "d1fa7eaaff46db257fe8a6245ffbb5df191033e7da154779ddcf7dab92a92182",
     }),
     (["--N", "16400", "--k-range", "2:5", "--reps", "20", "--p", "0.5"], {
         "pooling_candidates.csv":
             "aa86dd88f9ba17d2caea3483265c35db45d2d7a157feb54aec291719295a8a05",
         "pooling_cost_curve.csv":
             "9832f2bd111c9915d463687019236c0a66e7d8de05ae4fece07bd05d7edd01f4",
+        "pooling_cost_curve.svg":
+            "2a2fbec0f70037df442a4fc27c4ed254c1b5a10e438fc1b41d3a384d96ba7e28",
     }),
 ]
 
-# (flags, gof tables) for a non-default gof run: four cells (df = 3) and a
+# (flags, gof files) for a non-default gof run: four cells (df = 3) and a
 # sample size, 8, of only two counts per cell.
 GOF_RUNS = [
     (["--bins", "4", "--sizes", "8,40", "--reps", "300"], {
@@ -80,6 +96,10 @@ GOF_RUNS = [
             "3f34f67cf07914c7dfb78c8757bf9f24e3f06051e5360d6c3c0fa3f50fd8c218",
         "gof_overlay_n40.csv":
             "9f970b5c22caa9aef622831c71a50a9912a64667db75b4543c5ae497b6c74f9e",
+        "gof_overlay_n8.svg":
+            "1993eca0a8593311acc71cd7b246067d78d8e6b23a527cfb7242f51a54abeaca",
+        "gof_overlay_n40.svg":
+            "08e6edcad711d3e1f230cc702a65c8d9b5f01946ce4d8fd691746716f9563202",
     }),
 ]
 
@@ -106,6 +126,22 @@ MH_HISTOGRAM = [
      "07b3d4d0214a9579c17e4a72c8dbfb42419a361f361863c1640ce0f97cda0912"),
 ]
 
+# mh_density.svg of each MH_HISTOGRAM run, keyed by its histogram's digest.
+MH_DENSITY_SVG = {
+    "5b24c18dbe129e67acb031cd416ded4f463b8ee278c313af2e31f4305d2c9a3a":
+        "f708ac56a2b85d4dca8c660f8d95ad950b47b34207960068f2b6c638caa2a67a",
+    "5bf8ad827f818ef9cadb2b50ca9cd58b2814fd62df07e41718677d3b029d8eed":
+        "2f7037d3b94184a3d536b3dde7c6946613731baef65e87f14911b285bda5db59",
+    "b19bf1397b447c19d632acfe9439ff99771c54fcfe3807f68565e4c7dce19c99":
+        "4a49fa01b99491b23704367c5318fc98bb473ac303aca29bfd1037e7d7e4e866",
+    "d156de6c5e1ac425c8e3a44a1687934ead113f46b1b5d7e258e3c6cb5efe182d":
+        "c7537db756c8abf732fc9a91e1b701686f6964e0f777527154d14426e9a13a69",
+    "f07ecd1dd944bc971a7c1a76f7ec964852b811bde63fadb270dd0f8c90410739":
+        "2921b3d17867a26fb45d175e37f07a2673404f4a5c81c897f327194d6b58ea53",
+    "07b3d4d0214a9579c17e4a72c8dbfb42419a361f361863c1640ce0f97cda0912":
+        "7a2b83c4df7088307586abe0b120716e1f090459a7b04471e2b3265ca8e30c66",
+}
+
 
 def _digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -113,13 +149,15 @@ def _digest(path) -> str:
 
 @pytest.mark.parametrize("flags, histogram", MH_HISTOGRAM)
 def test_mh_tables(flags, histogram, tmp_path):
-    assert main(["mh", *flags, "--out", str(tmp_path)]) == 0
+    assert main(["mh", *flags, "--figures", "--out", str(tmp_path)]) == 0
     assert _digest(tmp_path / "mh_histogram.csv") == histogram
     assert _digest(tmp_path / "mh_true_density.csv") == MH_TRUE_DENSITY
+    assert _digest(tmp_path / "mh_density.svg") == MH_DENSITY_SVG[histogram]
 
 
 def _check_tables(argv, tables, out):
-    assert main([*argv, "--out", str(out)]) == 0
+    assert main([*argv, "--figures", "--out", str(out)]) == 0
+    assert {svg.name for svg in out.glob("*.svg")} <= tables.keys()
     for name, digest in tables.items():
         assert _digest(out / name) == digest, name
 
