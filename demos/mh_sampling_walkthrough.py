@@ -10,9 +10,9 @@ Run: python demos/mh_sampling_walkthrough.py
 
 import numpy as np
 
-from statlab.mh import (MhConfig, TargetDensity, density_distance, iter_chain,
-                        run_chain)
-from statlab.numerics import integrate_real_line
+from statlab.mh import (EDGES, MhConfig, TargetDensity, binned_true_density,
+                        iter_chain, run_chain)
+from statlab.numerics import density_vs_reference, integrate_real_line
 
 SEED = 20070420
 
@@ -47,7 +47,10 @@ print(f"sample variance {chain.variance:.4f}   (target {target_var:.4f}, "
 samples = np.concatenate([states for states, _ in iter_chain(chain.config, SEED)])
 print(f"fraction positive: {(samples > 0).mean():.4f} (target 0.5)")
 
-distance = density_distance(samples, density, bins=40, lo=-3, hi=3)
+# the chain's counts on EDGES (40 bins on [-3, 3]) against the truth's
+# average over each bin
+_, distance = density_vs_reference(chain.counts, chain.config.n_samples, EDGES,
+                                   binned_true_density(density, EDGES))
 print(f"\nsup histogram-vs-truth gap on [-3, 3], 40 bins: {distance:.4f}")
 
 # crude terminal histogram against the bin-averaged truth

@@ -6,8 +6,8 @@ usual sample standard deviation across repeated samples at several n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import math
 
@@ -47,8 +47,8 @@ class EstimatorStudyPlan:
 @dataclass(frozen=True)
 class EstimatorStudyResult:
     # keyed by (estimator name, sample size)
-    distributions: Mapping[tuple[str, int], np.ndarray]
-    summaries: Mapping[tuple[str, int], SummaryStats] = field(default_factory=dict)
+    distributions: dict[tuple[str, int], np.ndarray]
+    summaries: dict[tuple[str, int], SummaryStats]
 
 
 def sigma_hat_iqr(sample: Sequence[float]) -> float | np.ndarray:
@@ -90,19 +90,21 @@ def run_estimator_study(
     block size.
     """
 
-    def block_estimates(block: np.ndarray) -> dict[str, np.ndarray]:
+    def block_estimates(block: np.ndarray) -> np.ndarray:
         draws = simkit.normals_from_uniforms(
             simkit.uniforms(block), plan.true_mean, plan.true_sd
         )
-        return {"iqr": sigma_hat_iqr(draws), "s": sigma_hat_s(draws)}
+        return np.column_stack((sigma_hat_iqr(draws), sigma_hat_s(draws)))
 
     distributions: dict[tuple[str, int], np.ndarray] = {}
     for n in plan.sample_sizes:
         study = simkit.run_replicates_batched(
             plan.n_reps, f"estimator-n{n}", root_seed, n, block_estimates
         )
-        distributions[("iqr", n)] = study["iqr"]
-        distributions[("s", n)] = study["s"]
+        # contiguous columns: numpy sums a strided vector of over 8192
+        # values in another order, so summarize could round differently
+        distributions[("iqr", n)] = study[:, 0].copy()
+        distributions[("s", n)] = study[:, 1].copy()
     summaries = {key: summarize(vec) for key, vec in distributions.items()}
     return EstimatorStudyResult(
         distributions=distributions,

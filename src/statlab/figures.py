@@ -108,46 +108,37 @@ def _document(frame: _Frame, body: list[str], data: dict) -> str:
     return "\n".join(head + frame.chrome() + body + ["</svg>"]) + "\n"
 
 
-_COLORS = ["#1965b0", "#dc050c", "#4eb265", "#f1932d"]
+def _line(frame: _Frame, line, color: str, width: str) -> tuple[list[str], dict]:
+    """A (label, xs, ys) line as a polyline labelled at the top right, and
+    as metadata."""
+    label, xs, ys = line
+    pts = " ".join(
+        f"{_fmt(frame.px(x))},{_fmt(frame.py(y))}" for x, y in zip(xs, ys)
+    )
+    svg = [
+        f'<polyline points="{pts}" fill="none" stroke="{color}" '
+        f'stroke-width="{width}"/>',
+        f'<text x="{WIDTH - MARGIN_R - 6}" y="{MARGIN_T + 18}" '
+        f'text-anchor="end" font-size="12" fill="{color}">{label}</text>',
+    ]
+    return svg, {"label": label, "x": list(map(float, xs)),
+                 "y": list(map(float, ys))}
 
 
-def line_chart(series, title="", xlabel="", ylabel="") -> str:
-    """series: list of (label, xs, ys) drawn as polylines."""
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys]
-    frame = _Frame(min(xs_all), max(xs_all), min(0.0, min(ys_all)), max(ys_all),
+def line_chart(line, title="", xlabel="", ylabel="") -> str:
+    """line: (label, xs, ys) drawn as a polyline."""
+    _, xs, ys = line
+    frame = _Frame(min(xs), max(xs), min(0.0, min(ys)), max(ys),
                    title, xlabel, ylabel)
-    body = []
-    for i, (label, xs, ys) in enumerate(series):
-        pts = " ".join(
-            f"{_fmt(frame.px(x))},{_fmt(frame.py(y))}" for x, y in zip(xs, ys)
-        )
-        body.append(
-            f'<polyline points="{pts}" fill="none" '
-            f'stroke="{_COLORS[i % len(_COLORS)]}" stroke-width="1.6"/>'
-        )
-        body.append(
-            f'<text x="{WIDTH - MARGIN_R - 6}" y="{MARGIN_T + 18 + 16 * i}" '
-            f'text-anchor="end" font-size="12" '
-            f'fill="{_COLORS[i % len(_COLORS)]}">{label}</text>'
-        )
-    data = {
-        "type": "line",
-        "series": [
-            {"label": lab, "x": list(map(float, xs)), "y": list(map(float, ys))}
-            for lab, xs, ys in series
-        ],
-    }
-    return _document(frame, body, data)
+    body, series = _line(frame, line, "#1965b0", "1.6")
+    return _document(frame, body, {"type": "line", "series": [series]})
 
 
-def histogram_chart(edges, densities, overlay=None, title="", xlabel="",
+def histogram_chart(edges, densities, overlay, title="", xlabel="",
                     ylabel="density") -> str:
-    """Bars from bin edges/densities, with an optional (label, xs, ys) overlay."""
-    ymax = max(densities)
-    if overlay is not None:
-        ymax = max(ymax, max(overlay[2]))
-    frame = _Frame(edges[0], edges[-1], 0.0, ymax, title, xlabel, ylabel)
+    """Bars from bin edges/densities, with a (label, xs, ys) overlay line."""
+    frame = _Frame(edges[0], edges[-1], 0.0, max(max(densities), max(overlay[2])),
+                   title, xlabel, ylabel)
     body = []
     for j, d in enumerate(densities):
         x0, x1 = frame.px(edges[j]), frame.px(edges[j + 1])
@@ -158,38 +149,21 @@ def histogram_chart(edges, densities, overlay=None, title="", xlabel="",
             f'height="{_fmt(h)}" fill="#a5c8e1" stroke="#1965b0" '
             'stroke-width="0.5"/>'
         )
+    line, overlay_data = _line(frame, overlay, "#dc050c", "1.8")
     data = {
         "type": "histogram",
         "edges": list(map(float, edges)),
         "density": list(map(float, densities)),
+        "overlay": overlay_data,
     }
-    if overlay is not None:
-        label, xs, ys = overlay
-        pts = " ".join(
-            f"{_fmt(frame.px(x))},{_fmt(frame.py(y))}" for x, y in zip(xs, ys)
-        )
-        body.append(
-            f'<polyline points="{pts}" fill="none" stroke="#dc050c" '
-            'stroke-width="1.8"/>'
-        )
-        body.append(
-            f'<text x="{WIDTH - MARGIN_R - 6}" y="{MARGIN_T + 18}" '
-            f'text-anchor="end" font-size="12" fill="#dc050c">{label}</text>'
-        )
-        data["overlay"] = {"label": label, "x": list(map(float, xs)),
-                           "y": list(map(float, ys))}
-    return _document(frame, body, data)
+    return _document(frame, body + line, data)
 
 
-def box_chart(groups, title="", ylabel="", reference=None) -> str:
-    """groups: list of (label, {lo, q1, median, q3, hi}) box summaries.
-
-    ``reference`` draws a horizontal dashed line at the given y.
-    """
-    ylo = min(g[1]["lo"] for g in groups)
-    yhi = max(g[1]["hi"] for g in groups)
-    if reference is not None:
-        ylo, yhi = min(ylo, reference), max(yhi, reference)
+def box_chart(groups, reference, title="", ylabel="") -> str:
+    """groups: list of (label, {lo, q1, median, q3, hi}) box summaries, with
+    a horizontal dashed line at y = ``reference``."""
+    ylo = min(min(g[1]["lo"] for g in groups), reference)
+    yhi = max(max(g[1]["hi"] for g in groups), reference)
     frame = _Frame(0.0, float(len(groups)), ylo, yhi, title, "", ylabel)
     body = []
     for i, (label, q) in enumerate(groups):
@@ -217,12 +191,11 @@ def box_chart(groups, title="", ylabel="", reference=None) -> str:
             f'<text x="{_fmt(cx)}" y="{HEIGHT - MARGIN_B + 34}" '
             f'text-anchor="middle" font-size="11">{label}</text>'
         )
-    if reference is not None:
-        y = frame.py(reference)
-        body.append(
-            f'<line x1="{MARGIN_L}" y1="{_fmt(y)}" x2="{WIDTH - MARGIN_R}" '
-            f'y2="{_fmt(y)}" stroke="#4eb265" stroke-dasharray="6 4"/>'
-        )
+    y = frame.py(reference)
+    body.append(
+        f'<line x1="{MARGIN_L}" y1="{_fmt(y)}" x2="{WIDTH - MARGIN_R}" '
+        f'y2="{_fmt(y)}" stroke="#4eb265" stroke-dasharray="6 4"/>'
+    )
     data = {
         "type": "box",
         "groups": [

@@ -7,8 +7,8 @@ and quantifies how far its distribution sits from the chi-square reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -42,8 +42,8 @@ class GofPlan:
 @dataclass(frozen=True)
 class GofResult:
     df: int
-    statistics: Mapping[int, np.ndarray]  # keyed by sample size
-    means: Mapping[int, float] = field(default_factory=dict)
+    statistics: dict[int, np.ndarray]  # keyed by sample size
+    means: dict[int, float]
 
 
 def pearson_statistic(
@@ -102,10 +102,8 @@ def simulate_uniform_gof(plan: GofPlan, root_seed: int) -> GofResult:
                 expected,
             )
 
-        study = simkit.run_replicates_batched(
-            plan.n_reps, f"gof-n{n}", root_seed, n, block_statistics
-        )
-        statistics[n] = study["value"]
+        statistics[n] = simkit.run_replicates_batched(
+            plan.n_reps, f"gof-n{n}", root_seed, n, block_statistics)
     means = {n: float(v.mean()) for n, v in statistics.items()}
     return GofResult(
         df=plan.bins - 1,

@@ -13,8 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .numerics import (histogram_counts, histogram_vs_reference,
-                       integrate_interval, integrate_real_line)
+from .numerics import histogram_counts, integrate_interval, integrate_real_line
 from .simkit import normals_from_uniforms, stream
 
 
@@ -33,22 +32,22 @@ class TargetDensity:
     def __init__(self):
         self._constant: float | None = None
 
-    def normalize(self, tol: float = 1e-10) -> float:
+    def normalize(self) -> float:
         """Normalizing constant 1/Z with Z = 2 * integral of g over [0, inf)."""
         if self._constant is None:
-            res = integrate_real_line(unnormalized, tol=tol, even=True)
+            res = integrate_real_line(unnormalized, tol=1e-10, even=True)
             self._constant = 1.0 / res.value
         return self._constant
 
     def pdf(self, y: float) -> float:
         return self.normalize() * unnormalized(y)
 
-    def second_moment(self, tol: float = 1e-10) -> float:
+    def second_moment(self) -> float:
         """Variance of the target (its mean is 0 by symmetry), by quadrature."""
         res = integrate_real_line(
-            lambda y: y * y * unnormalized(y), tol=tol, even=True
+            lambda y: y * y * unnormalized(y), tol=1e-10, even=True
         )
-        return self.normalize(tol) * res.value
+        return self.normalize() * res.value
 
 
 # The widest proposal: a step is at most 37.05 sd (ndtri of the clamped
@@ -180,20 +179,3 @@ def binned_true_density(density: TargetDensity, edges: np.ndarray) -> np.ndarray
         res = integrate_interval(unnormalized, a, b, tol=1e-9)
         avgs[j] = c * res.value / (b - a)
     return avgs
-
-
-def density_distance(
-    samples: np.ndarray,
-    density: TargetDensity,
-    bins: int = len(EDGES) - 1,
-    lo: float = EDGES[0],
-    hi: float = EDGES[-1],
-) -> float:
-    """Sup over ``bins`` equal bins on [lo, hi] of |empirical density -
-    bin-averaged target density|; mass outside [lo, hi] counts against the
-    in-range histogram (``numerics.histogram_vs_reference``)."""
-    if bins < 5:
-        raise ValueError("need at least 5 bins")
-    edges = np.linspace(lo, hi, bins + 1)
-    reference = binned_true_density(density, edges)
-    return histogram_vs_reference(samples, edges, reference)[1]

@@ -132,7 +132,7 @@ def pooling_helps_integer(p: float) -> bool:
     return p < POOLING_HELPS_INTEGER_BELOW
 
 
-def optimal_pool_size_continuous(p: float, tol: float = 1e-6) -> ContinuousOptimum:
+def optimal_pool_size_continuous(p: float) -> ContinuousOptimum:
     """Continuous pool size minimizing expected tests per person.
 
     The population size cancels, so the objective is c(k) = 1/k + 1 - (1-p)^k,
@@ -146,7 +146,7 @@ def optimal_pool_size_continuous(p: float, tol: float = 1e-6) -> ContinuousOptim
     if not pooling_helps(p):
         return ContinuousOptimum(k=None, expected_tests_per_person=1.0,
                                  at_boundary=True)
-    lo, hi = 1.5, 1.0 / p
+    lo, hi, tol = 1.5, 1.0 / p, 1e-6
     k, cost = minimize_scalar(lambda k: expected_tests_per_person(k, p), lo, hi, tol=tol)
     edge = min(k - lo, hi - k) <= tol
     return ContinuousOptimum(k=k, expected_tests_per_person=cost, at_boundary=edge)
@@ -162,7 +162,7 @@ def optimality_residual(k: float, p: float) -> float:
     return 1.0 / (k * k) + log_q * math.exp(k * log_q)
 
 
-def optimal_pool_size_root(p: float, tol: float = 1e-6) -> float | None:
+def optimal_pool_size_root(p: float) -> float | None:
     """Continuous optimum found by bisection on the optimality condition.
 
     The residual changes sign once on [1.5, 1/p], at the optimum, so
@@ -172,7 +172,7 @@ def optimal_pool_size_root(p: float, tol: float = 1e-6) -> float | None:
         raise ValueError("prevalence must lie strictly in (0, 1)")
     if not pooling_helps(p):
         return None
-    return solve_root(lambda k: optimality_residual(k, p), 1.5, 1.0 / p, tol=tol)
+    return solve_root(lambda k: optimality_residual(k, p), 1.5, 1.0 / p, tol=1e-6)
 
 
 def optimal_pool_size_integer(
@@ -222,10 +222,8 @@ def simulate_pooling(
             totals[r] = n + k * (further + 1 if pools.size else 0)
         return totals
 
-    study = simkit.run_replicates_batched(
-        n_reps, experiment_id, root_seed, design.N, block_totals
-    )
-    stats = summarize(study["value"])
+    stats = summarize(simkit.run_replicates_batched(
+        n_reps, experiment_id, root_seed, design.N, block_totals))
     analytic = expected_tests(k, n, p)
     return PoolingCost(
         expected_tests_analytic=analytic,

@@ -130,7 +130,7 @@ def run_pooling(config: RunConfig):
     figs = {}
     if config.emit_figures:
         figs["pooling_cost_curve.svg"] = figures.line_chart(
-            [("expected tests", list(ks), list(curve))],
+            ("expected tests", list(ks), list(curve)),
             title=f"Expected tests vs pool size (N={N}, p={p})",
             xlabel="pool size k",
             ylabel="expected number of tests",
@@ -265,6 +265,8 @@ def run_gof(config: RunConfig):
     # one reference for every size; the distances are gof.shape_distance's
     ref_avg = gof.binned_chisq_density(result.df, gof.EDGES)
     grid = np.linspace(gof.EDGES[0], gof.EDGES[-1], 201)
+    if result.df == 1:  # the density is infinite at 0: start the curve after it
+        grid = grid[1:]
     pdf = [gof.chisq_density(x, result.df) for x in grid]
     distances = {}
     for n, vec in result.statistics.items():

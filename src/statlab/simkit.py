@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 import threading
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -147,37 +147,13 @@ def normals_from_uniforms(
     return mean + sd * ndtri(np.maximum(u, 1e-300))
 
 
-def _as_values(out, rows: int, names=None) -> dict[str, np.ndarray]:
-    """A task's output for ``rows`` rows as float arrays by name.
-
-    A plain array is named ``"value"``.  Raises ValueError unless every array
-    holds one value per row and, when ``names`` is given, the names are those.
-    """
-    if not isinstance(out, Mapping):
-        out = {"value": out}
-    if names is not None and out.keys() != names:
-        raise ValueError(
-            f"task outputs {sorted(out)} differ from the first block's "
-            f"{sorted(names)}"
-        )
-    values = {}
-    for name, v in out.items():
-        values[name] = np.asarray(v, dtype=float)
-        if values[name].shape != (rows,):
-            raise ValueError(
-                f"task output {name!r} has shape {values[name].shape}, "
-                f"expected ({rows},)"
-            )
-    return values
-
-
 def run_replicates_batched(
     n_reps: int,
     experiment_id: str,
     root_seed: int,
     n_draws: int,
-    task: Callable[[np.ndarray], np.ndarray | Mapping[str, np.ndarray]],
-) -> dict[str, np.ndarray]:
+    task: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
     """Run ``task`` once per block of replicates, on their streams' first words.
 
     ``task(block)`` gets a ``(reps, n_draws)`` uint64 array of raw Philox
@@ -186,9 +162,10 @@ def run_replicates_batched(
     ``stream(root_seed, experiment_id, i).random_raw(n_draws)``, which
     ``uniforms`` turns into uniforms.  A task that needs no uniforms,
     such as a Bernoulli comparison, can work on the words themselves.  It
-    returns one value per row, or a mapping of named arrays of one value per
-    row.  The result maps each name (``"value"`` for a plain array) to the
-    values of all replicates, in replicate order.
+    returns one float array whose first axis is the block's rows, of shape
+    ``(reps,)`` or ``(reps, m)``, and the result is those arrays concatenated,
+    in replicate order.  A task output with another first axis is a
+    ValueError.
 
     Blocks hold at most ``_BLOCK_VALUES`` words, no per-replicate generator
     is built, and every block's or run's keys come from one hashed prefix
@@ -233,41 +210,41 @@ def run_replicates_batched(
         local.philox.state = local.fresh
         return local.philox.random_raw(n_draws)
 
-    def run_block(start: int):
+    def rows_of(out, rows: int) -> np.ndarray:
+        out = np.asarray(out, dtype=float)
+        if out.shape[:1] != (rows,):
+            raise ValueError(f"task output has shape {out.shape}, expected "
+                             f"{rows} rows")
+        return out
+
+    def run_block(start: int) -> np.ndarray:
         rows = min(size, n_reps - start)
         keys = _block_keys(root_seed, experiment_id, start, rows)
         if n_draws <= _SHORT_ROW_DRAWS:
             block = _philox_words(keys, n_draws)
         else:
             block = np.stack([draw(lo, hi) for lo, hi in keys.tolist()])
-        return rows, task(block)
+        return rows_of(task(block), rows)
 
-    def run_rows(start: int):
+    def run_rows(start: int) -> np.ndarray | None:
         if failed.is_set():  # an earlier run failed; the caller never reads this
             return None
         rows = min(_RUN_ROWS, n_reps - start)
-        outs: list[dict[str, np.ndarray]] = []
         try:
-            for lo, hi in _block_keys(root_seed, experiment_id, start, rows).tolist():
-                out = task(draw(lo, hi)[None])
-                outs.append(_as_values(out, 1, outs[0].keys() if outs else None))
+            return np.concatenate([
+                rows_of(task(draw(lo, hi)[None]), 1) for lo, hi
+                in _block_keys(root_seed, experiment_id, start, rows).tolist()])
         except BaseException:
             failed.set()
             raise
-        return rows, {name: np.concatenate([o[name] for o in outs]) for name in outs[0]}
 
-    parts: dict[str, list[np.ndarray]] = {}
     pool = ThreadPoolExecutor(2)
     try:
         if size > 1:
-            blocks = map(run_block, range(0, n_reps, size))
+            parts = list(map(run_block, range(0, n_reps, size)))
         else:
-            blocks = pool.map(run_rows, range(0, n_reps, _RUN_ROWS))
-        for rows, out in blocks:
-            out = _as_values(out, rows, parts.keys() if parts else None)
-            for name, values in out.items():
-                parts.setdefault(name, []).append(values)
+            parts = list(pool.map(run_rows, range(0, n_reps, _RUN_ROWS)))
     finally:
         failed.set()
         pool.shutdown(cancel_futures=True)  # after an error, skip queued runs
-    return {name: np.concatenate(vecs) for name, vecs in parts.items()}
+    return np.concatenate(parts)

@@ -333,6 +333,24 @@ def test_option_space_is_parsed_or_a_usage_error(key, subcommand, tmp_path,
                 assert any(name in message for name in names), (argv, message)
 
 
+@pytest.mark.parametrize("key, subcommand", [
+    (key, sub) for key, option in OPTIONS.items() if "all" not in option.subcommands
+    for sub in option.subcommands
+])
+def test_small_study_values_run_or_are_a_usage_error(key, subcommand, tmp_path,
+                                                     capsys):
+    # every study option at 0, 1, -1, 2 and 3 runs through main, figures
+    # and all, to exit 0 or to a usage error (2); never to a runtime error
+    flag = "--" + key.replace("_", "-")
+    size = (["--burn-in", "0", "--samples", "50"] if subcommand == "mh"
+            else ["--reps", "2"])
+    for value in (0, 1, -1, 2, 3):
+        text = f"2:{value}" if key == "k_range" else str(value)
+        argv = [subcommand, *size, flag, text, "--figures", "--out", str(tmp_path)]
+        code = main(argv)
+        assert code in (0, 2), (argv, capsys.readouterr().err)
+
+
 class TestRunAndReport:
     def test_tables_byte_identical_across_runs_and_workers(self, tmp_path):
         outs = []

@@ -72,8 +72,8 @@ class TestContinuousOptimum:
 
     def test_agrees_with_bisection(self):
         for p in (0.05, 0.01, 0.1):
-            golden = optimal_pool_size_continuous(p, tol=1e-6).k
-            bisect = optimal_pool_size_root(p, tol=1e-6)
+            golden = optimal_pool_size_continuous(p).k
+            bisect = optimal_pool_size_root(p)
             assert abs(golden - bisect) < 2e-3
 
     @pytest.mark.parametrize("p", [MIN_P, 2e-16, 1e-14, 0.05])
@@ -206,7 +206,7 @@ def _replicate_totals(design, n_reps, seed, experiment_id, monkeypatch):
 
     monkeypatch.setattr(simkit, "run_replicates_batched", recording)
     simulate_pooling(design, n_reps, seed, experiment_id=experiment_id)
-    return studies[0]["value"]
+    return studies[0]
 
 
 class TestSimulatePooling:

@@ -158,15 +158,18 @@ def test_run_gof_distances_are_shape_distance(monkeypatch):
 
 
 def test_run_gof_two_bins_is_finite(tmp_path):
-    # at df = 1 the reference density is infinite at 0; the tables and the
-    # summary must still hold only finite numbers
+    # at df = 1 the reference density is infinite at 0; the tables, the
+    # figures and the summary must still hold only finite numbers
     config = RunConfig(subcommand="gof", root_seed=4, n_reps=300,
-                       options={"bins": 2}, output_dir=tmp_path)
+                       options={"bins": 2}, output_dir=tmp_path,
+                       emit_figures=True)
     [doc] = run_and_report(config)
     summary = doc["summary"]
     assert all(math.isfinite(d) for d in summary["shape_distance"].values())
-    for name in doc["tables"]:
-        assert "nan" not in (tmp_path / name).read_text()
+    assert len(doc["figures"]) == 2
+    for path in tmp_path.iterdir():
+        text = path.read_text()
+        assert "inf" not in text and "nan" not in text, path.name
 
 
 @pytest.mark.parametrize("N", [60, 16, 70])

@@ -157,8 +157,8 @@ def _assert_stream_rows(rows, seed, experiment_id):
 
 
 def _columns(block):
-    """A task naming each column's uniforms, so the engine returns whole rows."""
-    return {str(j): simkit.uniforms(block[:, j]) for j in range(block.shape[1])}
+    """A task returning each row's uniforms, so the engine returns whole rows."""
+    return simkit.uniforms(block)
 
 
 def _blocks(n_reps, n_draws):
@@ -204,8 +204,7 @@ class TestRunReplicatesBatched:
         # rows wider than a block run one per block on two threads, each with
         # its own generator; outputs still come back in replicate order
         monkeypatch.setattr(simkit, "_BLOCK_VALUES", 8)
-        res = run_replicates_batched(300, "wide", 4, 9, _columns)
-        rows = np.column_stack([res[str(j)] for j in range(9)])
+        rows = run_replicates_batched(300, "wide", 4, 9, _columns)
         for i in range(300):
             assert np.array_equal(rows[i], replicate_generator(4, "wide", i).random(9))
 
@@ -219,20 +218,16 @@ class TestRunReplicatesBatched:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, to expose a shared row
         try:
-            named = run_replicates_batched(
-                150, "runs", 6, 9,
-                lambda block: {"first": simkit.uniforms(block[:, 0]),
-                               "last": simkit.uniforms(block[:, -1])},
-            )
+            ends = run_replicates_batched(
+                150, "runs", 6, 9, lambda block: simkit.uniforms(block[:, [0, -1]]))
             plain = run_replicates_batched(
                 150, "runs", 6, 9, lambda block: simkit.uniforms(block[:, 1]))
         finally:
             sys.setswitchinterval(interval)
         for i in range(150):
             row = replicate_generator(6, "runs", i).random(9)
-            assert named["first"][i] == row[0]
-            assert named["last"][i] == row[-1]
-            assert plain["value"][i] == row[1]
+            assert ends[i].tolist() == [row[0], row[-1]]
+            assert plain[i] == row[1]
 
     def test_wide_row_error_skips_queued_runs(self, monkeypatch):
         # run 0 holds its first row, so the main thread is still waiting on
@@ -260,47 +255,40 @@ class TestRunReplicatesBatched:
         monkeypatch.setattr(simkit, "_BLOCK_VALUES", 8 * 4)
         res = run_replicates_batched(
             50, "ord", 3, 4, lambda block: simkit.uniforms(block[:, 0]))
-        assert res["value"].tolist() == [
+        assert res.tolist() == [
             replicate_generator(3, "ord", i).random() for i in range(50)
         ]
 
-    def test_named_outputs(self, monkeypatch):
+    def test_two_dimensional_outputs(self, monkeypatch):
+        # a (rows, m) output comes back as (n_reps, m), rows in replicate order
         monkeypatch.setattr(simkit, "_BLOCK_VALUES", 4 * 3)
-        res = run_replicates_batched(10, "named", 5, 3, _columns)
-        assert list(res) == ["0", "1", "2"]
-        rows = np.column_stack([res[name] for name in res])
+        rows = run_replicates_batched(10, "rows", 5, 3, _columns)
+        assert rows.shape == (10, 3)
         for i in range(10):
-            assert np.array_equal(rows[i], replicate_generator(5, "named", i).random(3))
+            assert np.array_equal(rows[i], replicate_generator(5, "rows", i).random(3))
 
-    def test_named_output_checks(self, monkeypatch):
-        with pytest.raises(ValueError, match="'b' has shape"):
-            run_replicates_batched(
-                4, "named", 0, 2, lambda block: {"a": block[:, 0], "b": block}
-            )
-        # a block whose names differ from the first block's is rejected
+    def test_every_block_output_is_checked(self, monkeypatch):
+        # a later block whose output has the wrong first axis is rejected
         monkeypatch.setattr(simkit, "_BLOCK_VALUES", 2 * 2)
-        names = iter(["a", "b"])
-        with pytest.raises(ValueError, match="differ"):
+        shorts = iter([False, True])
+        with pytest.raises(ValueError, match=r"shape \(1,\), expected 2 rows"):
             run_replicates_batched(
-                4, "named", 0, 2, lambda block: {next(names): block[:, 0]}
-            )
+                4, "rows", 0, 2,
+                lambda block: block[1:, 0] if next(shorts) else block[:, 0])
 
     def test_wide_row_output_checks(self, monkeypatch):
-        # rows drawn on the threads are checked as blocks are, within a run
+        # rows drawn on the threads are checked one by one, within a run
         monkeypatch.setattr(simkit, "_BLOCK_VALUES", 2)
-        with pytest.raises(ValueError, match="'b' has shape"):
-            run_replicates_batched(
-                4, "named", 0, 3, lambda block: {"a": block[:, 0], "b": block}
-            )
-        names = itertools.cycle(["a", "b"])
-        with pytest.raises(ValueError, match="differ"):
-            run_replicates_batched(
-                4, "named", 0, 3, lambda block: {next(names): block[:, 0]}
-            )
+        with pytest.raises(ValueError, match=r"shape \(3,\), expected 1 rows"):
+            run_replicates_batched(4, "rows", 0, 3, lambda block: block[0])
+        with pytest.raises(ValueError, match=r"shape \(\), expected 1 rows"):
+            run_replicates_batched(4, "rows", 0, 3, lambda block: block[0, 0])
 
     def test_wrong_output_length_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            run_replicates_batched(10, "len", 0, 3, lambda block: block)
+        # the first axis must be the block's rows; a (rows, 3) output is valid
+        with pytest.raises(ValueError, match=r"shape \(3, 10\)"):
+            run_replicates_batched(10, "len", 0, 3, lambda block: block.T)
+        assert run_replicates_batched(10, "len", 0, 3, _columns).shape == (10, 3)
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):
