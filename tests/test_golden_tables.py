@@ -86,8 +86,9 @@ POOLING_RUNS = [
     }),
 ]
 
-# (flags, gof files) for a non-default gof run: four cells (df = 3) and a
-# sample size, 8, of only two counts per cell.
+# (flags, gof files) for non-default gof runs: four cells (df = 3) and a
+# sample size, 8, of only two counts per cell; and two cells (df = 1), whose
+# reference averages come from the distribution function, not quadrature.
 GOF_RUNS = [
     (["--bins", "4", "--sizes", "8,40", "--reps", "300"], {
         "gof_statistics.csv":
@@ -100,6 +101,18 @@ GOF_RUNS = [
             "1993eca0a8593311acc71cd7b246067d78d8e6b23a527cfb7242f51a54abeaca",
         "gof_overlay_n40.svg":
             "08e6edcad711d3e1f230cc702a65c8d9b5f01946ce4d8fd691746716f9563202",
+    }),
+    (["--bins", "2", "--reps", "2000"], {
+        "gof_statistics.csv":
+            "0a9a47bff3c932f1a9fce83dbd646d650c7e4b3b5b642e4910adb93ae2448d61",
+        "gof_overlay_n16.csv":
+            "146eeb480cdab0e32d497430c86bed6f546e7c6278697567813dd7623dac7214",
+        "gof_overlay_n64.csv":
+            "0dba690d5785c5beb2272939eafbec6afed907c5d50d1e1e676bf6fe40661f68",
+        "gof_overlay_n16.svg":
+            "f8d131b2f5723b2be23d54d6283f21ed3be8fafd6f14633512f131cdc389e644",
+        "gof_overlay_n64.svg":
+            "2bd5409d983f3e88ff7cbf003e0e5b8ada1e4ca53d098941d630e3e64388ccd9",
     }),
 ]
 
