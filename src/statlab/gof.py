@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from . import simkit
-from .numerics import histogram_vs_reference, integrate_interval
+from .numerics import bin_integrals, density_vs_reference, histogram_counts
 
 
 @dataclass(frozen=True)
@@ -139,19 +139,16 @@ def binned_chisq_density(df: int, edges: np.ndarray) -> np.ndarray:
     it, so the averages come from the distribution function erf(sqrt(x/2)).
     """
     if df == 1:
-        cdf = [math.erf(math.sqrt(x / 2.0)) for x in edges]
-        return np.diff(cdf) / np.diff(edges)
-    avgs = np.empty(len(edges) - 1)
-    for j in range(len(edges) - 1):
-        a, b = edges[j], edges[j + 1]
-        res = integrate_interval(lambda x: chisq_density(x, df), a, b, tol=1e-9)
-        avgs[j] = res.value / (b - a)
-    return avgs
+        mass = np.diff([math.erf(math.sqrt(x / 2.0)) for x in edges])
+    else:
+        mass = bin_integrals(lambda x: chisq_density(x, df), edges)
+    return mass / np.diff(edges)
 
 
 def shape_distance(statistics: Sequence[float], df: int) -> float:
     """Sup over the bins of ``EDGES`` of |empirical density - bin-averaged
     chi-square|; statistics beyond the window count in the denominator only
-    (``numerics.histogram_vs_reference``)."""
+    (``numerics.density_vs_reference``)."""
     reference = binned_chisq_density(df, EDGES)
-    return histogram_vs_reference(statistics, EDGES, reference)[1]
+    counts = histogram_counts(statistics, EDGES)
+    return density_vs_reference(counts, len(statistics), EDGES, reference)[1]

@@ -13,7 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .numerics import histogram_counts, integrate_interval, integrate_real_line
+from .numerics import bin_integrals, histogram_counts, integrate_real_line
 from .simkit import normals_from_uniforms, stream
 
 
@@ -63,7 +63,6 @@ class MhConfig:
     proposal_sd: float = 1.0
     burn_in: int = 100_000
     n_samples: int = 100_000
-    initial_x: float = 3.0
 
     def __post_init__(self):
         if not 0 < self.proposal_sd <= MAX_PROPOSAL_SD:
@@ -82,6 +81,10 @@ class MhConfig:
 # The window on which a chain's histogram is set beside the target: [-3, 3]
 # in 40 bins.
 EDGES = np.linspace(-3.0, 3.0, 41)
+# Every chain starts here, in the target's tail, and draws from the stream of
+# this experiment id.
+INITIAL_X = 3.0
+EXPERIMENT_ID = "mh-chain"
 
 
 @dataclass(frozen=True)
@@ -101,24 +104,24 @@ class ChainResult:
 _CHUNK_STEPS = 1 << 12
 
 
-def iter_chain(config: MhConfig, root_seed: int, experiment_id: str = "mh-chain"
-               ) -> Iterator[tuple[np.ndarray, int]]:
+def iter_chain(config: MhConfig, root_seed: int) -> Iterator[tuple[np.ndarray, int]]:
     """Burn in, then yield the chain's kept states as a float64 array per
     chunk of ``_CHUNK_STEPS`` steps, with the moves accepted among them; a
     chunk of burn-in only yields nothing.
 
-    Each step takes two uniforms of ``stream(root_seed, experiment_id, 0)``
-    (``Generator.random``), a proposal normal's and then an acceptance
-    uniform, and moves to the proposal when the uniform's log is below the
-    log density ratio.  The step rule is written out here alone, in a loop
-    for burn-in and one for kept steps over a chunk's draws as Python
-    floats; they call no Python function per step.
+    The chain starts at ``INITIAL_X``.  Each step takes two uniforms of
+    ``stream(root_seed, EXPERIMENT_ID, 0)`` (``Generator.random``), a
+    proposal normal's and then an acceptance uniform, and moves to the
+    proposal when the uniform's log is below the log density ratio.  The
+    step rule is written out here alone, in a loop for burn-in and one for
+    kept steps over a chunk's draws as Python floats; they call no Python
+    function per step.
     """
-    draws = np.random.Generator(stream(root_seed, experiment_id, 0))
+    draws = np.random.Generator(stream(root_seed, EXPERIMENT_ID, 0))
     sd = config.proposal_sd
     burn_in = config.burn_in
     total = burn_in + config.n_samples
-    x = config.initial_x
+    x = INITIAL_X
     log_gx = log_unnormalized(x)
     log1p = math.log1p
     for start in range(0, total, _CHUNK_STEPS):
@@ -145,8 +148,7 @@ def iter_chain(config: MhConfig, root_seed: int, experiment_id: str = "mh-chain"
             yield np.array(kept), accepted
 
 
-def run_chain(config: MhConfig, root_seed: int,
-              experiment_id: str = "mh-chain") -> ChainResult:
+def run_chain(config: MhConfig, root_seed: int) -> ChainResult:
     """The chain of ``iter_chain``, reduced a chunk at a time: besides one
     chunk it keeps three floats per chunk (about 2 MB at ``MAX_CHAIN_STEPS``).
     The mean is the ``math.fsum`` of the chunks' sums over n; the variance
@@ -154,7 +156,7 @@ def run_chain(config: MhConfig, root_seed: int,
     update, summed by ``math.fsum``."""
     counts = np.zeros(len(EDGES) - 1, dtype=np.int64)
     sums, squares, accepted, n, mean = [], [], 0, 0, 0.0
-    for states, moved in iter_chain(config, root_seed, experiment_id):
+    for states, moved in iter_chain(config, root_seed):
         accepted += moved
         counts += histogram_counts(states, EDGES)
         k, total = len(states), float(states.sum())
@@ -172,10 +174,4 @@ def run_chain(config: MhConfig, root_seed: int,
 
 def binned_true_density(density: TargetDensity, edges: np.ndarray) -> np.ndarray:
     """Average of the normalized target over each histogram bin."""
-    c = density.normalize()
-    avgs = np.empty(len(edges) - 1)
-    for j in range(len(edges) - 1):
-        a, b = edges[j], edges[j + 1]
-        res = integrate_interval(unnormalized, a, b, tol=1e-9)
-        avgs[j] = c * res.value / (b - a)
-    return avgs
+    return density.normalize() * bin_integrals(unnormalized, edges) / np.diff(edges)

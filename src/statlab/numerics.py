@@ -245,11 +245,11 @@ def density_vs_reference(counts: np.ndarray, n: int, edges: np.ndarray,
     return empirical, float(np.max(np.abs(empirical - reference)))
 
 
-def histogram_vs_reference(samples: Sequence[float], edges: np.ndarray,
-                           reference: np.ndarray) -> tuple[np.ndarray, float]:
-    """``density_vs_reference`` of the samples' ``histogram_counts``."""
-    return density_vs_reference(histogram_counts(samples, edges), len(samples),
-                                edges, reference)
+def bin_integrals(f: Callable[[float], float], edges: np.ndarray) -> np.ndarray:
+    """Integral of f over each bin of ``edges``, each by ``integrate_interval``
+    at relative tolerance 1e-9."""
+    return np.array([integrate_interval(f, a, b, tol=1e-9).value
+                     for a, b in zip(edges[:-1], edges[1:])])
 
 
 def quantile_type7(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import platform
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -28,32 +28,10 @@ ENVIRONMENT = {"python": platform.python_version(), "numpy": np.__version__,
 
 @dataclass
 class RunConfig:
-    subcommand: str
+    plans: dict  # study name -> its plan, in the order the studies run
     root_seed: int
-    n_reps: int | None = None
     output_dir: Path = Path("statlab_out")
     emit_figures: bool = False
-    options: dict = field(default_factory=dict)
-
-
-# Option keys that name their plan's field differently.
-PLAN_FIELDS = {"reps": "n_reps", "samples": "n_samples", "sizes": "sample_sizes",
-               "sigma": "true_sd"}
-_PLANS = {"pooling": pooling.PoolingPlan, "mh": mh.MhConfig,
-          "estimator": estimators.EstimatorStudyPlan, "gof": gof.GofPlan}
-
-
-def make_plan(name: str, options: dict, n_reps: int | None):
-    """The plan of study ``name`` from option keys and a replicate count.
-
-    What is not given takes the plan's default; the plan checks every value
-    and raises ValueError naming the field it rejects.  The MH chain takes no
-    replicate count.
-    """
-    values = {PLAN_FIELDS.get(key, key): value for key, value in options.items()}
-    if n_reps is not None and name != "mh":
-        values["n_reps"] = n_reps
-    return _PLANS[name](**values)
 
 
 # Rows formatted per write; bounds the cell strings held at once to about 1 MB.
@@ -88,8 +66,24 @@ def write_table(path: Path, columns: dict[str, Sequence]) -> None:
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def run_pooling(config: RunConfig):
-    plan = make_plan("pooling", config.options, config.n_reps)
+def _overlay(edges, counts, n, reference, column, emit_figures, overlay, title,
+             xlabel):
+    """A histogram of ``n`` samples with ``counts`` on ``edges`` beside a
+    reference density whose bin averages are ``reference``: the overlay table
+    (the averages under ``column``), the sup distance between the two, and,
+    when ``emit_figures``, the chart with the ``overlay`` curve drawn over the
+    bars (else None)."""
+    empirical, distance = numerics.density_vs_reference(counts, n, edges,
+                                                        reference)
+    table = {"bin_lo": edges[:-1], "bin_hi": edges[1:],
+             "empirical_density": empirical, column: reference}
+    if not emit_figures:
+        return table, distance, None
+    return table, distance, figures.histogram_chart(
+        list(edges), list(empirical), overlay=overlay, title=title, xlabel=xlabel)
+
+
+def run_pooling(plan: pooling.PoolingPlan, root_seed: int, emit_figures: bool):
     p, N, n_reps, candidates = plan.p, plan.N, plan.n_reps, plan.candidates
     best_k, best_cost = pooling.optimal_pool_size_integer(N, p, candidates)
     cont = pooling.optimal_pool_size_continuous(p)
@@ -111,7 +105,7 @@ def run_pooling(config: RunConfig):
     costs = [
         pooling.simulate_pooling(
             pooling.PoolingDesign(N=N, k=k, n=N // k, p=p), n_reps,
-            config.root_seed, experiment_id=f"pooling-k{k}",
+            root_seed, experiment_id=f"pooling-k{k}",
         )
         for k in candidates
     ]
@@ -128,7 +122,7 @@ def run_pooling(config: RunConfig):
         "pooling_cost_curve.csv": {"k": ks, "expected_tests": curve},
     }
     figs = {}
-    if config.emit_figures:
+    if emit_figures:
         figs["pooling_cost_curve.svg"] = figures.line_chart(
             ("expected tests", list(ks), list(curve)),
             title=f"Expected tests vs pool size (N={N}, p={p})",
@@ -152,48 +146,33 @@ def run_pooling(config: RunConfig):
     return tables, figs, summary, warnings
 
 
-def run_mh(config: RunConfig):
-    mh_config = make_plan("mh", config.options, config.n_reps)
+def run_mh(plan: mh.MhConfig, root_seed: int, emit_figures: bool):
     warnings = []
     defaults = mh.MhConfig()
-    if (mh_config.burn_in < defaults.burn_in
-            or mh_config.n_samples < defaults.n_samples):
+    if plan.burn_in < defaults.burn_in or plan.n_samples < defaults.n_samples:
         warnings.append(
             "short chain: burn-in and/or sample count below the defaults "
             f"({defaults.burn_in}/{defaults.n_samples}); results may be noisy"
         )
 
     density = mh.TargetDensity()
-    result = mh.run_chain(mh_config, config.root_seed)
-    true_avg = mh.binned_true_density(density, mh.EDGES)
-    empirical, distance = numerics.density_vs_reference(
-        result.counts, mh_config.n_samples, mh.EDGES, true_avg)
+    result = mh.run_chain(plan, root_seed)
     grid = np.linspace(mh.EDGES[0], mh.EDGES[-1], 201)
     pdf = [density.pdf(y) for y in grid]
-    tables = {
-        "mh_histogram.csv": {
-            "bin_lo": mh.EDGES[:-1],
-            "bin_hi": mh.EDGES[1:],
-            "empirical_density": empirical,
-            "true_density_bin_avg": true_avg,
-        },
-        "mh_true_density.csv": {"y": grid, "pdf": pdf},
-    }
-    figs = {}
-    if config.emit_figures:
-        figs["mh_density.svg"] = figures.histogram_chart(
-            list(mh.EDGES),
-            list(empirical),
-            overlay=("true density", list(grid), pdf),
-            title="Metropolis-Hastings samples vs true density",
-            xlabel="y",
-        )
+    histogram, distance, svg = _overlay(
+        mh.EDGES, result.counts, plan.n_samples,
+        mh.binned_true_density(density, mh.EDGES), "true_density_bin_avg",
+        emit_figures, ("true density", list(grid), pdf),
+        "Metropolis-Hastings samples vs true density", "y")
+    tables = {"mh_histogram.csv": histogram,
+              "mh_true_density.csv": {"y": grid, "pdf": pdf}}
+    figs = {"mh_density.svg": svg} if svg else {}
 
     summary = {
         "normalizing_constant": density.normalize(),
-        "proposal_sd": mh_config.proposal_sd,
-        "burn_in": mh_config.burn_in,
-        "n_samples": mh_config.n_samples,
+        "proposal_sd": plan.proposal_sd,
+        "burn_in": plan.burn_in,
+        "n_samples": plan.n_samples,
         "acceptance_rate": result.acceptance_rate,
         "sample_mean": result.mean,
         "sample_variance": result.variance,
@@ -203,9 +182,9 @@ def run_mh(config: RunConfig):
     return tables, figs, summary, warnings
 
 
-def run_estimator(config: RunConfig):
-    plan = make_plan("estimator", config.options, config.n_reps)
-    result = estimators.run_estimator_study(plan, config.root_seed)
+def run_estimator(plan: estimators.EstimatorStudyPlan, root_seed: int,
+                  emit_figures: bool):
+    result = estimators.run_estimator_study(plan, root_seed)
     dists = result.distributions
     keys, stats = list(result.summaries), list(result.summaries.values())
     tables = {
@@ -227,7 +206,7 @@ def run_estimator(config: RunConfig):
         },
     }
     figs = {}
-    if config.emit_figures:
+    if emit_figures:
         groups = [
             (f"{name} (n={n})",
              {"lo": float(vec.min()), "q1": s.q1, "median": s.median,
@@ -251,9 +230,8 @@ def run_estimator(config: RunConfig):
     return tables, figs, summary, []
 
 
-def run_gof(config: RunConfig):
-    plan = make_plan("gof", config.options, config.n_reps)
-    result = gof.simulate_uniform_gof(plan, config.root_seed)
+def run_gof(plan: gof.GofPlan, root_seed: int, emit_figures: bool):
+    result = gof.simulate_uniform_gof(plan, root_seed)
     tables = {
         "gof_statistics.csv": {
             "n": np.repeat(list(result.statistics), plan.n_reps),
@@ -267,25 +245,16 @@ def run_gof(config: RunConfig):
     grid = np.linspace(gof.EDGES[0], gof.EDGES[-1], 201)
     if result.df == 1:  # the density is infinite at 0: start the curve after it
         grid = grid[1:]
-    pdf = [gof.chisq_density(x, result.df) for x in grid]
+    curve = (f"chi-square df={result.df}", list(grid),
+             [gof.chisq_density(x, result.df) for x in grid])
     distances = {}
     for n, vec in result.statistics.items():
-        empirical, distances[n] = numerics.histogram_vs_reference(
-            vec, gof.EDGES, ref_avg)
-        tables[f"gof_overlay_n{n}.csv"] = {
-            "bin_lo": gof.EDGES[:-1],
-            "bin_hi": gof.EDGES[1:],
-            "empirical_density": empirical,
-            "chisq_density_bin_avg": ref_avg,
-        }
-        if config.emit_figures:
-            figs[f"gof_overlay_n{n}.svg"] = figures.histogram_chart(
-                list(gof.EDGES),
-                list(empirical),
-                overlay=(f"chi-square df={result.df}", list(grid), pdf),
-                title=f"Null distribution of the Pearson statistic (n={n})",
-                xlabel="statistic",
-            )
+        tables[f"gof_overlay_n{n}.csv"], distances[n], svg = _overlay(
+            gof.EDGES, numerics.histogram_counts(vec, gof.EDGES), len(vec),
+            ref_avg, "chisq_density_bin_avg", emit_figures, curve,
+            f"Null distribution of the Pearson statistic (n={n})", "statistic")
+        if svg:
+            figs[f"gof_overlay_n{n}.svg"] = svg
 
     summary = {
         "bins": plan.bins,
@@ -317,10 +286,10 @@ def run_and_report(config: RunConfig) -> list[dict]:
     except OSError as exc:
         raise OSError(f"output directory {out} is not writable: {exc}") from exc
 
-    names = list(_RUNNERS) if config.subcommand == "all" else [config.subcommand]
     docs = []
-    for name in names:
-        tables, figs, summary, warnings = _RUNNERS[name](config)
+    for name, plan in config.plans.items():
+        tables, figs, summary, warnings = _RUNNERS[name](
+            plan, config.root_seed, config.emit_figures)
         for table, columns in tables.items():
             write_table(out / table, columns)
         for fig, svg in figs.items():

@@ -238,12 +238,11 @@ def run_replicates_batched(
             failed.set()
             raise
 
+    if size > 1:
+        return np.concatenate(list(map(run_block, range(0, n_reps, size))))
     pool = ThreadPoolExecutor(2)
     try:
-        if size > 1:
-            parts = list(map(run_block, range(0, n_reps, size)))
-        else:
-            parts = list(pool.map(run_rows, range(0, n_reps, _RUN_ROWS)))
+        parts = list(pool.map(run_rows, range(0, n_reps, _RUN_ROWS)))
     finally:
         failed.set()
         pool.shutdown(cancel_futures=True)  # after an error, skip queued runs

@@ -7,10 +7,12 @@ from pathlib import Path
 import pytest
 
 import statlab
-from statlab import report
+from statlab import cli, report
 from statlab.cli import OPTIONS, main, parse_config
-from statlab.estimators import MAX_TRUE_SD
-from statlab.mh import MAX_CHAIN_STEPS, MAX_PROPOSAL_SD
+from statlab.estimators import MAX_TRUE_SD, EstimatorStudyPlan
+from statlab.gof import GofPlan
+from statlab.mh import MAX_CHAIN_STEPS, MAX_PROPOSAL_SD, MhConfig
+from statlab.pooling import PoolingPlan
 from statlab.report import RunConfig, run_and_report
 from statlab.simkit import MAX_REPS, MAX_ROW_DRAWS
 
@@ -30,10 +32,8 @@ class TestParseConfig:
         config = parse_config(
             ["pooling", "--p", "0.05", "--N", "5000", "--seed", "7"]
         )
-        assert config.subcommand == "pooling"
         assert config.root_seed == 7
-        assert config.options["p"] == 0.05
-        assert config.options["N"] == 5000
+        assert config.plans == {"pooling": PoolingPlan(p=0.05, N=5000)}
 
     def test_no_arguments_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -56,7 +56,7 @@ class TestParseConfig:
         cfg.write_text(json.dumps({"seed": 9, "reps": 77}))
         config = parse_config(["gof", "--config", str(cfg)])
         assert config.root_seed == 9
-        assert config.n_reps == 77
+        assert config.plans["gof"].n_reps == 77
 
     def test_env_var_sets_default_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STATLAB_OUT", str(tmp_path / "envout"))
@@ -223,13 +223,13 @@ class TestParseConfig:
         cfg.write_text(json.dumps({"p": 0.1, "bins": 4, "samples": 10,
                                    "workers": 2, "k_range": [2, 5]}))
         config = parse_config(["gof", "--config", str(cfg)])
-        assert config.options == {"bins": 4}
+        assert config.plans == {"gof": GofPlan(bins=4)}
         config = parse_config(["all", "--config", str(cfg)])
-        assert config.options == {}
+        assert config.plans == parse_config(["all"]).plans
         # mh takes no --reps, but a file may hold one for the other studies
         cfg.write_text(json.dumps({"reps": 5, "samples": 10}))
         config = parse_config(["mh", "--config", str(cfg)])
-        assert config.n_reps is None and config.options == {"samples": 10}
+        assert config.plans == {"mh": MhConfig(n_samples=10)}
 
     @pytest.mark.parametrize("key, subcommand", [
         (key, sub) for key, option in OPTIONS.items() for sub in option.subcommands])
@@ -248,20 +248,24 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("argv, expected", [
         (["gof", "--reps", "20000", "--figures"],
-         RunConfig("gof", 20070420, 20000, Path("statlab_out"), True, {})),
+         {"gof": GofPlan(n_reps=20000)}),
         (["estimator", "--reps", "5000", "--figures"],
-         RunConfig("estimator", 20070420, 5000, Path("statlab_out"), True, {})),
+         {"estimator": EstimatorStudyPlan(n_reps=5000)}),
         (["pooling", "--N", "20000", "--k-range", "2:10", "--reps", "2000",
           "--workers", "2", "--figures"],
-         RunConfig("pooling", 20070420, 2000, Path("statlab_out"), True,
-                   {"N": 20000, "k_range": (2, 10)})),
+         {"pooling": PoolingPlan(N=20000, k_range=(2, 10), n_reps=2000)}),
         (["mh", "--burn-in", "1000000", "--samples", "2000000", "--figures"],
-         RunConfig("mh", 20070420, None, Path("statlab_out"), True,
-                   {"burn_in": 1000000, "samples": 2000000})),
+         {"mh": MhConfig(burn_in=1000000, n_samples=2000000)}),
+        (["all", "--reps", "50", "--figures"],
+         {"pooling": PoolingPlan(n_reps=50), "mh": MhConfig(),
+          "estimator": EstimatorStudyPlan(n_reps=50), "gof": GofPlan(n_reps=50)}),
     ])
     def test_benchmark_argv(self, argv, expected, monkeypatch):
+        # the plans that run, in run order
         monkeypatch.delenv("STATLAB_OUT", raising=False)
-        assert parse_config(argv) == expected
+        config = parse_config(argv)
+        assert config == RunConfig(expected, 20070420, Path("statlab_out"), True)
+        assert list(config.plans) == list(expected)
 
     @pytest.mark.parametrize("argv, expected", [
         (["pooling", "--k-range", "x"],
@@ -278,10 +282,21 @@ class TestParseConfig:
         assert expected in capsys.readouterr().err
 
     def test_range_and_sizes_parsing(self):
-        config = parse_config(["pooling", "--k-range", "2:10"])
-        assert config.options["k_range"] == (2, 10)
-        config = parse_config(["estimator", "--sizes", "100,400"])
-        assert config.options["sizes"] == (100, 400)
+        config = parse_config(["pooling", "--k-range", "3:9"])
+        assert config.plans["pooling"].k_range == (3, 9)
+        config = parse_config(["estimator", "--sizes", "50,200"])
+        assert config.plans["estimator"].sample_sizes == (50, 200)
+
+
+def test_make_plan_renames_keys_and_keeps_plan_defaults():
+    assert cli.make_plan("gof", {}, None) == GofPlan()
+    assert cli.make_plan("pooling", {"k_range": (3, 6)}, 7) == (
+        PoolingPlan(k_range=(3, 6), n_reps=7))
+    assert cli.make_plan("estimator", {"sizes": (8, 9), "sigma": 2.0}, 5) == (
+        EstimatorStudyPlan(sample_sizes=(8, 9), true_sd=2.0, n_reps=5))
+    # the chain takes no replicate count
+    assert cli.make_plan("mh", {"samples": 5, "burn_in": 1}, 50) == (
+        MhConfig(n_samples=5, burn_in=1))
 
 
 # Each option's upper bound, where it has one; a float bound's "bound + 1"
@@ -411,18 +426,18 @@ class TestRunAndReport:
         assert len(lines) == 1 + 2 * 2 * 100  # two estimators, two sizes
         assert (tmp_path / "estimator_box.svg").exists()
 
-    def test_zero_reps_is_not_the_default(self, tmp_path):
-        config = RunConfig(subcommand="gof", root_seed=3, n_reps=0,
-                           output_dir=tmp_path)
-        with pytest.raises(ValueError):
-            run_and_report(config)
+    def test_zero_reps_is_not_the_default(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            parse_config(["gof", "--reps", "0", "--out", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "--reps" in capsys.readouterr().err
 
     def test_non_finite_summary_is_runtime_error(self, tmp_path, monkeypatch,
                                                  capsys):
         run_gof = report._RUNNERS["gof"]
 
-        def nan_summary(config):
-            tables, figs, summary, warnings = run_gof(config)
+        def nan_summary(*args):
+            tables, figs, summary, warnings = run_gof(*args)
             return tables, figs, {**summary, "mean_statistic": float("nan")}, warnings
 
         monkeypatch.setitem(report._RUNNERS, "gof", nan_summary)
@@ -437,9 +452,8 @@ class TestRunAndReport:
         assert code == 1
 
     def test_all_runs_every_subcommand(self, tmp_path):
-        config = RunConfig(
-            subcommand="all", root_seed=3, n_reps=50, output_dir=tmp_path
-        )
+        config = parse_config(["all", "--seed", "3", "--reps", "50",
+                               "--out", str(tmp_path)])
         docs = run_and_report(config)
         assert [doc["subcommand"] for doc in docs] == [
             "pooling", "mh", "estimator", "gof"

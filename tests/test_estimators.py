@@ -164,7 +164,7 @@ class TestStudy:
         for n in plan.sample_sizes:
             for i in range(plan.n_reps):
                 u = replicate_generator(17, f"estimator-n{n}", i).random(n)
-                draws = plan.true_mean + plan.true_sd * ndtri(np.maximum(u, 1e-300))
+                draws = 42.0 + plan.true_sd * ndtri(np.maximum(u, 1e-300))
                 assert res.distributions[("iqr", n)][i] == sigma_hat_iqr(draws)
                 assert res.distributions[("s", n)][i] == sigma_hat_s(draws)
 

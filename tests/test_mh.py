@@ -17,7 +17,7 @@ from statlab.mh import (
     run_chain,
     unnormalized,
 )
-from statlab.numerics import histogram_vs_reference
+from statlab.numerics import density_vs_reference, histogram_counts
 
 
 def acceptance_prob(x: float, y: float) -> float:
@@ -32,10 +32,9 @@ def proposal(x: float, draws: np.random.Generator, sd: float = 1.0) -> float:
     return x + sd * float(ndtri(max(draws.random(), 1e-300)))
 
 
-def chain_states(config: MhConfig, root_seed: int, **kwargs) -> np.ndarray:
+def chain_states(config: MhConfig, root_seed: int) -> np.ndarray:
     """Every kept state of the chain, joined from ``iter_chain``'s chunks."""
-    return np.concatenate([states for states, _ in
-                           iter_chain(config, root_seed, **kwargs)])
+    return np.concatenate([states for states, _ in iter_chain(config, root_seed)])
 
 
 def mh_step(x: float, draws: np.random.Generator,
@@ -208,12 +207,12 @@ class TestRunChain:
             for burn_in, n_samples, chunk in cases:
                 monkeypatch.setattr(mh, "_CHUNK_STEPS", chunk)
                 config = MhConfig(proposal_sd=sd, burn_in=burn_in,
-                                  n_samples=n_samples, initial_x=3.0)
-                bulk = run_chain(config, root_seed=77, experiment_id="stepwise")
-                states = chain_states(config, root_seed=77,
-                                      experiment_id="stepwise")
-                draws = replicate_generator(77, "stepwise", 0)
-                x = config.initial_x
+                                  n_samples=n_samples)
+                bulk = run_chain(config, root_seed=77)
+                states = chain_states(config, root_seed=77)
+                # every chain starts at 3.0 on the "mh-chain" stream
+                draws = replicate_generator(77, "mh-chain", 0)
+                x = 3.0
                 samples, accepted = [], 0
                 for i in range(config.burn_in + config.n_samples):
                     x, moved = mh_step(x, draws, sd=sd)
@@ -281,7 +280,8 @@ def density_distance(samples: np.ndarray, density: TargetDensity) -> float:
     """Sup distance of the samples' histogram on ``mh.EDGES`` from the
     bin-averaged target, as ``report.run_mh`` computes it from the counts."""
     reference = binned_true_density(density, mh.EDGES)
-    return histogram_vs_reference(samples, mh.EDGES, reference)[1]
+    counts = histogram_counts(samples, mh.EDGES)
+    return density_vs_reference(counts, len(samples), mh.EDGES, reference)[1]
 
 
 class TestDensityDistance:

@@ -7,9 +7,9 @@ import pytest
 from statlab import gof, mh, numerics
 from statlab.numerics import (
     QuadratureDivergenceError,
+    bin_integrals,
     density_vs_reference,
     histogram_counts,
-    histogram_vs_reference,
     integrate_interval,
     integrate_real_line,
     minimize_scalar,
@@ -156,6 +156,9 @@ class TestQuantileType7:
 
 
 class TestHistogramVsReference:
+    """A sample's ``histogram_counts`` set beside a reference density by
+    ``density_vs_reference``."""
+
     @pytest.mark.parametrize("edges, lo, hi, width", [
         (mh.EDGES, -3.0, 3.0, 0.1499999999999999),
         (gof.EDGES, 0.0, 20.0, 0.5),
@@ -166,7 +169,8 @@ class TestHistogramVsReference:
         rng = np.random.default_rng(8)
         samples = rng.normal(0.5 * (lo + hi), 0.4 * (hi - lo), size=5001)
         reference = rng.uniform(0.0, 0.3, size=40)
-        empirical, distance = histogram_vs_reference(samples, edges, reference)
+        empirical, distance = density_vs_reference(
+            histogram_counts(samples, edges), samples.size, edges, reference)
         counts, np_edges = np.histogram(samples, bins=40, range=(lo, hi))
         assert np.array_equal(np_edges, edges)
         assert np_edges[1] - np_edges[0] == width
@@ -180,17 +184,15 @@ class TestHistogramVsReference:
         rng = np.random.default_rng(9)
         samples = rng.normal(0.0, 2.0, size=3 * numerics._HISTOGRAM_SLICE + 17)
         samples[::97] = rng.choice(mh.EDGES, size=samples[::97].size)
-        empirical, _ = histogram_vs_reference(samples, mh.EDGES, np.zeros(40))
-        counts, edges = np.histogram(samples, bins=40, range=(-3.0, 3.0))
-        width = edges[1] - edges[0]
-        assert np.array_equal(empirical, counts / (samples.size * width))
+        counts = histogram_counts(samples, mh.EDGES)
+        assert np.array_equal(counts, np.histogram(samples, 40, (-3.0, 3.0))[0])
 
     def test_allocates_under_a_megabyte_beyond_its_input(self):
         # a whole-array np.histogram of 2M samples holds several 512 KB blocks
         samples = np.random.default_rng(10).normal(size=2_000_000)
         tracemalloc.start()
         try:
-            histogram_vs_reference(samples, mh.EDGES, np.zeros(40))
+            histogram_counts(samples, mh.EDGES)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -200,13 +202,17 @@ class TestHistogramVsReference:
         # two of the five samples fall outside [0, 2]; the right edge is in
         edges = np.array([0.0, 1.0, 2.0])
         samples = [0.5, 2.0, -0.1, 7.0, 1.5]
-        empirical, distance = histogram_vs_reference(samples, edges, [0.2, 0.5])
+        counts = histogram_counts(samples, edges)
+        empirical, distance = density_vs_reference(counts, len(samples), edges,
+                                                   np.array([0.2, 0.5]))
+        assert counts.tolist() == [1, 2]
         assert empirical.tolist() == [0.2, 0.4]
         assert distance == pytest.approx(0.1, abs=1e-15)
 
     def test_empty_sample_rejected(self):
+        counts = histogram_counts([], gof.EDGES)
         with pytest.raises(ValueError, match="non-empty"):
-            histogram_vs_reference([], gof.EDGES, np.zeros(40))
+            density_vs_reference(counts, 0, gof.EDGES, np.zeros(40))
 
     def test_counts_of_parts_add_up_to_the_whole(self):
         # what a stream of chunks relies on: ragged parts, edge values and
@@ -227,14 +233,26 @@ class TestHistogramVsReference:
         samples = rng.normal(10.0, 6.0, size=777)
         reference = rng.uniform(0.0, 0.1, size=40)
         counts = histogram_counts(samples, gof.EDGES)
-        from_counts = density_vs_reference(counts, samples.size, gof.EDGES,
-                                           reference)
-        from_samples = histogram_vs_reference(samples, gof.EDGES, reference)
-        assert np.array_equal(from_counts[0], from_samples[0])
-        assert from_counts[1] == from_samples[1]
+        empirical, distance = density_vs_reference(counts, samples.size,
+                                                   gof.EDGES, reference)
+        # some samples fall outside [0, 20]: they count in the denominator
+        whole = np.histogram(samples, 40, (0.0, 20.0))[0]
+        assert whole.sum() < samples.size
+        assert np.array_equal(empirical, whole / (samples.size * 0.5))
+        assert distance == float(np.max(np.abs(empirical - reference)))
         with pytest.raises(ValueError, match="non-empty"):
             density_vs_reference(np.zeros(40, dtype=np.int64), 0, gof.EDGES,
                                  reference)
+
+
+def test_bin_integrals_are_the_per_bin_quadratures():
+    # bit for bit the integrate_interval value of each bin at tol 1e-9, on
+    # both studies' windows
+    for f, edges in ((target_g, mh.EDGES),
+                     (lambda x: gof.chisq_density(x, 7), gof.EDGES)):
+        expected = [integrate_interval(f, a, b, tol=1e-9).value
+                    for a, b in zip(edges[:-1], edges[1:])]
+        assert bin_integrals(f, edges).tolist() == expected
 
 
 class TestSummarize:

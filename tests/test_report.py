@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from statlab import estimators, gof, mh, pooling, report
+from statlab import cli, gof, mh, pooling, report
 from statlab.report import RunConfig, run_and_report, write_table
 
 
@@ -77,17 +77,6 @@ class TestWriteTable:
             write_table(tmp_path / "t.csv", {"a": [1, "x", None]})
 
 
-def test_make_plan_renames_keys_and_keeps_plan_defaults():
-    assert report.make_plan("gof", {}, None) == gof.GofPlan()
-    assert report.make_plan("pooling", {"k_range": (3, 6)}, 7) == (
-        pooling.PoolingPlan(k_range=(3, 6), n_reps=7))
-    assert report.make_plan("estimator", {"sizes": (8, 9), "sigma": 2.0}, 5) == (
-        estimators.EstimatorStudyPlan(sample_sizes=(8, 9), true_sd=2.0, n_reps=5))
-    # the chain takes no replicate count
-    assert report.make_plan("mh", {"samples": 5, "burn_in": 1}, 50) == (
-        mh.MhConfig(n_samples=5, burn_in=1))
-
-
 def test_run_mh_bins_the_reference_once(tmp_path, monkeypatch):
     calls = []
     binned = mh.binned_true_density
@@ -97,8 +86,8 @@ def test_run_mh_bins_the_reference_once(tmp_path, monkeypatch):
         return binned(*args)
 
     monkeypatch.setattr(mh, "binned_true_density", counted)
-    run_and_report(RunConfig(subcommand="mh", root_seed=3, output_dir=tmp_path,
-                             options={"burn_in": 10, "samples": 1000}))
+    run_and_report(RunConfig({"mh": mh.MhConfig(burn_in=10, n_samples=1000)},
+                             root_seed=3, output_dir=tmp_path))
     assert len(calls) == 1
 
 
@@ -126,9 +115,9 @@ def test_run_and_report_writes_exactly_the_listed_files(subcommand, options,
 
     monkeypatch.setattr(report, "write_table", table)
     monkeypatch.setattr(Path, "write_text", text)
-    [doc] = run_and_report(RunConfig(subcommand=subcommand, root_seed=5,
-                                     n_reps=50, output_dir=tmp_path,
-                                     emit_figures=True, options=options))
+    plan = cli.make_plan(subcommand, options, 50)
+    [doc] = run_and_report(RunConfig({subcommand: plan}, root_seed=5,
+                                     output_dir=tmp_path, emit_figures=True))
     files = [*doc["tables"], *doc["figures"], f"{subcommand}_summary.json"]
     assert doc["tables"] and doc["figures"]
     assert written == [".writable", *files]
@@ -146,12 +135,10 @@ def test_run_gof_distances_are_shape_distance(monkeypatch):
         return binned(*args)
 
     monkeypatch.setattr(gof, "binned_chisq_density", counted)
-    config = RunConfig(subcommand="gof", root_seed=4, n_reps=300,
-                       options={"bins": 4, "sizes": (8, 16, 40)})
-    _, _, summary, _ = report.run_gof(config)
+    plan = gof.GofPlan(bins=4, sample_sizes=(8, 16, 40), n_reps=300)
+    _, _, summary, _ = report.run_gof(plan, 4, False)
     assert len(calls) == 1
     monkeypatch.setattr(gof, "binned_chisq_density", binned)
-    plan = gof.GofPlan(bins=4, sample_sizes=(8, 16, 40), n_reps=300)
     result = gof.simulate_uniform_gof(plan, 4)
     assert summary["shape_distance"] == {
         n: gof.shape_distance(v, result.df) for n, v in result.statistics.items()}
@@ -160,9 +147,8 @@ def test_run_gof_distances_are_shape_distance(monkeypatch):
 def test_run_gof_two_bins_is_finite(tmp_path):
     # at df = 1 the reference density is infinite at 0; the tables, the
     # figures and the summary must still hold only finite numbers
-    config = RunConfig(subcommand="gof", root_seed=4, n_reps=300,
-                       options={"bins": 2}, output_dir=tmp_path,
-                       emit_figures=True)
+    config = RunConfig({"gof": gof.GofPlan(bins=2, n_reps=300)}, root_seed=4,
+                       output_dir=tmp_path, emit_figures=True)
     [doc] = run_and_report(config)
     summary = doc["summary"]
     assert all(math.isfinite(d) for d in summary["shape_distance"].values())
@@ -178,9 +164,8 @@ def test_run_pooling_warns_when_no_candidate_saves(N):
     # leave out k = 3, the only integer that helps for p just under 0.3066
     candidates = [k for k in range(2, 11) if N % k == 0]
     for p in np.linspace(0.2, 0.35, 31):
-        config = RunConfig(subcommand="pooling", root_seed=1, n_reps=1,
-                           options={"p": p, "N": N, "k_range": (2, 10)})
-        tables, _, summary, warnings = report.run_pooling(config)
+        plan = pooling.PoolingPlan(p=p, N=N, k_range=(2, 10), n_reps=1)
+        tables, _, summary, warnings = report.run_pooling(plan, 1, False)
         for columns in tables.values():
             for column in columns.values():
                 assert np.all(np.isfinite(column))
