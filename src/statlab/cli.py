@@ -167,7 +167,9 @@ def parse_config(argv: list[str] | None) -> RunConfig:
         except ValueError as exc:
             # plan messages start with the field they reject and name any
             # other field they involve as "field = value"
-            parser.error(re.sub(r"^\w+|\b\w+(?= = )", _field_flag, str(exc)))
+            message = re.sub(r"^\w+|\b\w+(?= = )", _field_flag, str(exc))
+            parser.error(f"{name}: {message}" if args.subcommand == "all"
+                         else message)
     return RunConfig(
         plans=plans,
         root_seed=values.get("seed", DEFAULT_SEED),

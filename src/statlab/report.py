@@ -34,36 +34,32 @@ class RunConfig:
     emit_figures: bool = False
 
 
-# Rows formatted per write; bounds the cell strings held at once to about 1 MB.
-_CHUNK_ROWS = 4096
-
-
-def _format_column(values: np.ndarray) -> list[str]:
-    """Cells of one homogeneous column: integers as they are, floats to 10
-    significant digits with a '.' decimal, strings unchanged."""
-    if values.dtype.kind in "iu":
-        return list(map(str, values.tolist()))
-    if values.dtype.kind == "f":
-        return list(map("{:.10g}".format, values.tolist()))
-    if values.dtype.kind == "U":
-        return values.tolist()
-    raise TypeError(f"cannot format a column of dtype {values.dtype}")
+# Rows formatted per write: a chunk's cells and text take under 200 KB at once.
+_CHUNK_ROWS = 1024
+# The cell format of a column by dtype kind: integers as they are, floats to
+# 10 significant digits with a '.' decimal (the bytes of "{:.10g}".format,
+# inf, nan and -0 included), strings unchanged.
+_CELL_FORMATS = {"i": "%d", "u": "%d", "f": "%.10g", "U": "%s"}
 
 
 def write_table(path: Path, columns: dict[str, Sequence]) -> None:
     """Write a CSV table given as header name -> column, in that order.
 
-    Rows are formatted and written ``_CHUNK_ROWS`` at a time, so the cell
-    strings of a long table are never all held at once.
+    Each row is formatted by one ``%`` format, ``_CHUNK_ROWS`` rows at a
+    time, so the strings of a long table are never all held at once.
     """
     arrays = [np.asarray(column) for column in columns.values()]
     if len({len(a) for a in arrays}) > 1:
         raise ValueError("table columns must have equal length")
+    for a in arrays:
+        if a.dtype.kind not in _CELL_FORMATS:
+            raise TypeError(f"cannot format a column of dtype {a.dtype}")
+    row = ",".join(_CELL_FORMATS[a.dtype.kind] for a in arrays) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
         for start in range(0, len(arrays[0]), _CHUNK_ROWS):
-            cells = [_format_column(a[start:start + _CHUNK_ROWS]) for a in arrays]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            chunk = [a[start:start + _CHUNK_ROWS].tolist() for a in arrays]
+            fh.write("".join(map(row.__mod__, zip(*chunk))))
 
 
 def _overlay(edges, counts, n, reference, column, emit_figures, overlay, title,
@@ -101,6 +97,9 @@ def run_pooling(plan: pooling.PoolingPlan, root_seed: int, emit_figures: bool):
             f"best, k={best_k}, has savings ratio {best_ratio:.4f}; test "
             f"individually"
         )
+    if n_reps < 2:
+        warnings.append(f"--reps {n_reps} gives no spread: simulated_sd reads 0 "
+                        f"unmeasured; use --reps 2 or more")
 
     costs = [
         pooling.simulate_pooling(
@@ -239,9 +238,15 @@ def run_gof(plan: gof.GofPlan, root_seed: int, emit_figures: bool):
             "statistic": np.concatenate(list(result.statistics.values())),
         },
     }
-    figs = {}
+    figs, warnings = {}, []
     # one reference for every size; the distances are gof.shape_distance's
     ref_avg = gof.binned_chisq_density(result.df, gof.EDGES)
+    mass = ref_avg.sum() * (gof.EDGES[1] - gof.EDGES[0])
+    if mass < 0.95:
+        warnings.append(
+            f"the window [{gof.EDGES[0]:g}, {gof.EDGES[-1]:g}] holds only "
+            f"{mass:.1%} of the chi-square df={result.df} mass and "
+            f"shape_distance leaves the rest out; use fewer --bins")
     grid = np.linspace(gof.EDGES[0], gof.EDGES[-1], 201)
     if result.df == 1:  # the density is infinite at 0: start the curve after it
         grid = grid[1:]
@@ -263,7 +268,7 @@ def run_gof(plan: gof.GofPlan, root_seed: int, emit_figures: bool):
         "mean_statistic": result.means,
         "shape_distance": distances,
     }
-    return tables, figs, summary, []
+    return tables, figs, summary, warnings
 
 
 _RUNNERS = {

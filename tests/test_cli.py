@@ -185,6 +185,17 @@ class TestParseConfig:
         assert f"config file {cfg}: {message}" in err
         assert not out.exists()
 
+    def test_all_names_the_study_that_rejects_a_value(self, capsys):
+        # pooling and gof take one replicate; under all, the estimator's
+        # rejection names the estimator
+        parse_config(["pooling", "--reps", "1"])
+        parse_config(["gof", "--reps", "1"])
+        with pytest.raises(SystemExit) as excinfo:
+            parse_config(["all", "--reps", "1"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: estimator: --reps must lie in [2, {MAX_REPS}], got 1\n")
+
     @pytest.mark.parametrize("argv, flag", [
         (["gof", "--reps", str(MAX_REPS)], "--reps"),
         (["estimator", "--reps", str(MAX_REPS)], "--reps"),

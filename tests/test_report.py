@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 
 from statlab import cli, gof, mh, pooling, report
 from statlab.report import RunConfig, run_and_report, write_table
@@ -49,6 +51,22 @@ class TestWriteTable:
         path = tmp_path / "t.csv"
         write_table(path, COLUMNS)
         assert path.read_bytes() == _rows_bytes(COLUMNS)
+
+    def test_long_table_peak_memory_is_bounded(self, tmp_path):
+        # a gof_statistics-sized table: one string per cell, 4 096 rows at a
+        # time, peaked at ~1.6 MB; whole rows, 1 024 at a time, stay far below
+        n = 40_000
+        columns = {"n": np.repeat([16, 64], n // 2),
+                   "replicate": np.tile(np.arange(n // 2), 2),
+                   "statistic": np.linspace(0.0, 40.0, n)}
+        tracemalloc.start()
+        try:
+            write_table(tmp_path / "t.csv", columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+        assert (tmp_path / "t.csv").read_bytes() == _rows_bytes(columns)
 
     def test_special_float_cells(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -164,7 +182,7 @@ def test_run_pooling_warns_when_no_candidate_saves(N):
     # leave out k = 3, the only integer that helps for p just under 0.3066
     candidates = [k for k in range(2, 11) if N % k == 0]
     for p in np.linspace(0.2, 0.35, 31):
-        plan = pooling.PoolingPlan(p=p, N=N, k_range=(2, 10), n_reps=1)
+        plan = pooling.PoolingPlan(p=p, N=N, k_range=(2, 10), n_reps=2)
         tables, _, summary, warnings = report.run_pooling(plan, 1, False)
         for columns in tables.values():
             for column in columns.values():
@@ -175,3 +193,24 @@ def test_run_pooling_warns_when_no_candidate_saves(N):
         assert bool(warnings) == (not saves)
         assert summary["pooling_helps_integer"] == (
             p < pooling.POOLING_HELPS_INTEGER_BELOW)
+
+
+@pytest.mark.parametrize("n_reps", [1, 2])
+def test_run_pooling_warns_that_one_replicate_has_no_spread(n_reps):
+    plan = pooling.PoolingPlan(N=60, k_range=(2, 6), n_reps=n_reps)
+    tables, _, _, warnings = report.run_pooling(plan, 1, False)
+    sds = tables["pooling_candidates.csv"]["simulated_sd"]
+    assert (max(sds) == 0.0) == (n_reps == 1)
+    assert len(warnings) == (n_reps == 1)
+    assert all("--reps 1" in w for w in warnings)
+
+
+@pytest.mark.parametrize("bins", [2, 4, 8, 12, 13, 32])
+def test_run_gof_warns_when_the_window_misses_the_reference(bins):
+    # [0, 20] holds at least 95 % of chi-square's mass up to df = 11 only;
+    # the regularised incomplete gamma gives that mass exactly
+    plan = gof.GofPlan(bins=bins, sample_sizes=(bins,), n_reps=20)
+    _, _, _, warnings = report.run_gof(plan, 1, False)
+    mass = scipy.special.gammainc((bins - 1) / 2, gof.EDGES[-1] / 2)
+    assert len(warnings) == (mass < 0.95)
+    assert all(f"{mass:.1%}" in w and "--bins" in w for w in warnings)
