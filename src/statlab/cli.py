@@ -6,6 +6,7 @@ Exit status: 0 success, 2 usage error, 1 runtime error."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -75,17 +76,16 @@ PLAN_FIELDS = {"reps": "n_reps", "samples": "n_samples", "sizes": "sample_sizes"
                "sigma": "true_sd"}
 
 
-def make_plan(name: str, options: dict, n_reps: int | None):
-    """The plan of study ``name`` from option keys and a replicate count.
-
-    What is not given takes the plan's default; the plan checks every value
-    and raises ValueError naming the field it rejects.  The MH chain takes no
-    replicate count.
+def make_plan(name: str, values: dict):
+    """The plan of study ``name`` from the values whose key, renamed through
+    ``PLAN_FIELDS``, names one of its fields; what is not given takes the
+    plan's default.  The plan checks every value and raises ValueError naming
+    the field it rejects.
     """
-    values = {PLAN_FIELDS.get(key, key): value for key, value in options.items()}
-    if n_reps is not None and name != "mh":
-        values["n_reps"] = n_reps
-    return _STUDIES[name][0](**values)
+    plan = _STUDIES[name][0]
+    fields = {f.name for f in dataclasses.fields(plan)}
+    renamed = {PLAN_FIELDS.get(key, key): value for key, value in values.items()}
+    return plan(**{f: v for f, v in renamed.items() if f in fields})
 
 
 def _flag(key: str) -> str:
@@ -158,12 +158,10 @@ def parse_config(argv: list[str] | None) -> RunConfig:
               if args.subcommand in OPTIONS[key].subcommands}
     values.update((key, value) for key, value in vars(args).items()
                   if key in OPTIONS and value is not None)
-    options = {key: value for key, value in values.items()
-               if "all" not in OPTIONS[key].subcommands}
     plans = {}
     for name in _STUDIES if args.subcommand == "all" else (args.subcommand,):
         try:
-            plans[name] = make_plan(name, options, values.get("reps"))
+            plans[name] = make_plan(name, values)
         except ValueError as exc:
             # plan messages start with the field they reject and name any
             # other field they involve as "field = value"

@@ -73,10 +73,9 @@ class PoolingPlan:
 
 @dataclass(frozen=True)
 class PoolingCost:
-    expected_tests_analytic: float
+    """The simulated total test count's mean and sd over replicates."""
     simulated_mean: float
     simulated_sd: float
-    savings_ratio: float
 
 
 @dataclass(frozen=True)
@@ -224,13 +223,7 @@ def simulate_pooling(
 
     stats = summarize(simkit.run_replicates_batched(
         n_reps, experiment_id, root_seed, design.N, block_totals))
-    analytic = expected_tests(k, n, p)
-    return PoolingCost(
-        expected_tests_analytic=analytic,
-        simulated_mean=stats.mean,
-        simulated_sd=stats.sd,
-        savings_ratio=design.N / analytic,
-    )
+    return PoolingCost(simulated_mean=stats.mean, simulated_sd=stats.sd)
 
 
 def cost_curve(N: int, p: float, k_lo: float, k_hi: float, points: int = 200):

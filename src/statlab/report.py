@@ -1,7 +1,8 @@
 """Report emission: CSV tables, JSON summaries, and SVG figures per subcommand.
 
 Runners compute and return tables (file name -> columns), figures (file name
--> SVG text), a summary and warnings; ``run_and_report`` alone writes them.
+-> a call that draws its SVG text), a summary and warnings; ``run_and_report``
+alone writes them, and draws the figures only when the run asks for them.
 Rerunning with the same configuration produces byte-identical tables.
 """
 
@@ -12,6 +13,7 @@ import platform
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -62,31 +64,30 @@ def write_table(path: Path, columns: dict[str, Sequence]) -> None:
             fh.write("".join(map(row.__mod__, zip(*chunk))))
 
 
-def _overlay(edges, counts, n, reference, column, emit_figures, overlay, title,
-             xlabel):
+def _overlay(edges, counts, n, reference, column, overlay, title, xlabel):
     """A histogram of ``n`` samples with ``counts`` on ``edges`` beside a
     reference density whose bin averages are ``reference``: the overlay table
-    (the averages under ``column``), the sup distance between the two, and,
-    when ``emit_figures``, the chart with the ``overlay`` curve drawn over the
-    bars (else None)."""
+    (the averages under ``column``), the sup distance between the two, and the
+    chart, to draw, with the ``overlay`` curve drawn over the bars."""
     empirical, distance = numerics.density_vs_reference(counts, n, edges,
                                                         reference)
     table = {"bin_lo": edges[:-1], "bin_hi": edges[1:],
              "empirical_density": empirical, column: reference}
-    if not emit_figures:
-        return table, distance, None
-    return table, distance, figures.histogram_chart(
-        list(edges), list(empirical), overlay=overlay, title=title, xlabel=xlabel)
+    return table, distance, partial(
+        figures.histogram_chart, list(edges), list(empirical), overlay=overlay,
+        title=title, xlabel=xlabel)
 
 
-def run_pooling(plan: pooling.PoolingPlan, root_seed: int, emit_figures: bool):
+def run_pooling(plan: pooling.PoolingPlan, root_seed: int):
     p, N, n_reps, candidates = plan.p, plan.N, plan.n_reps, plan.candidates
     best_k, best_cost = pooling.optimal_pool_size_integer(N, p, candidates)
     cont = pooling.optimal_pool_size_continuous(p)
     k_root = pooling.optimal_pool_size_root(p)
-    best_ratio = pooling.savings_ratio(best_k, p)
+    helps = pooling.pooling_helps(p)
+    ratios = [pooling.savings_ratio(k, p) for k in candidates]
+    best_ratio = ratios[candidates.index(best_k)]
     warnings = []
-    if not pooling.pooling_helps(p):
+    if not helps:
         warnings.append(
             f"pooling cannot beat individual testing at p={p} (it needs p < "
             f"{pooling.POOLING_HELPS_BELOW:.4f}); test individually"
@@ -113,21 +114,18 @@ def run_pooling(plan: pooling.PoolingPlan, root_seed: int, emit_figures: bool):
         "pooling_candidates.csv": {
             "k": candidates,
             "n_pools": [N // k for k in candidates],
-            "expected_tests_analytic": [c.expected_tests_analytic for c in costs],
+            "expected_tests_analytic": [
+                pooling.expected_tests(k, N // k, p) for k in candidates],
             "simulated_mean": [c.simulated_mean for c in costs],
             "simulated_sd": [c.simulated_sd for c in costs],
-            "savings_ratio": [c.savings_ratio for c in costs],
+            "savings_ratio": ratios,
         },
         "pooling_cost_curve.csv": {"k": ks, "expected_tests": curve},
     }
-    figs = {}
-    if emit_figures:
-        figs["pooling_cost_curve.svg"] = figures.line_chart(
-            ("expected tests", list(ks), list(curve)),
-            title=f"Expected tests vs pool size (N={N}, p={p})",
-            xlabel="pool size k",
-            ylabel="expected number of tests",
-        )
+    figs = {"pooling_cost_curve.svg": partial(
+        figures.line_chart, ("expected tests", list(ks), list(curve)),
+        title=f"Expected tests vs pool size (N={N}, p={p})",
+        xlabel="pool size k", ylabel="expected number of tests")}
 
     summary = {
         "p": p,
@@ -135,7 +133,7 @@ def run_pooling(plan: pooling.PoolingPlan, root_seed: int, emit_figures: bool):
         "n_reps": n_reps,
         "best_integer_k": best_k,
         "best_integer_expected_tests": best_cost,
-        "pooling_helps": pooling.pooling_helps(p),
+        "pooling_helps": helps,
         "pooling_helps_integer": pooling.pooling_helps_integer(p),
         "continuous_optimum_k": cont.k,
         "continuous_optimum_at_boundary": cont.at_boundary,
@@ -145,7 +143,7 @@ def run_pooling(plan: pooling.PoolingPlan, root_seed: int, emit_figures: bool):
     return tables, figs, summary, warnings
 
 
-def run_mh(plan: mh.MhConfig, root_seed: int, emit_figures: bool):
+def run_mh(plan: mh.MhConfig, root_seed: int):
     warnings = []
     defaults = mh.MhConfig()
     if plan.burn_in < defaults.burn_in or plan.n_samples < defaults.n_samples:
@@ -156,16 +154,23 @@ def run_mh(plan: mh.MhConfig, root_seed: int, emit_figures: bool):
 
     density = mh.TargetDensity()
     result = mh.run_chain(plan, root_seed)
+    # near 1, tiny steps are nearly all taken; near 0, long steps are nearly
+    # all refused: either way the chain barely explores the target
+    if not 0.05 <= result.acceptance_rate <= 0.95:
+        warnings.append(
+            f"acceptance rate {result.acceptance_rate:.4f} lies outside "
+            f"[0.05, 0.95]: the chain mixes too slowly to stand for the "
+            f"target; tune --proposal-sd")
     grid = np.linspace(mh.EDGES[0], mh.EDGES[-1], 201)
     pdf = [density.pdf(y) for y in grid]
-    histogram, distance, svg = _overlay(
+    histogram, distance, chart = _overlay(
         mh.EDGES, result.counts, plan.n_samples,
         mh.binned_true_density(density, mh.EDGES), "true_density_bin_avg",
-        emit_figures, ("true density", list(grid), pdf),
+        ("true density", list(grid), pdf),
         "Metropolis-Hastings samples vs true density", "y")
     tables = {"mh_histogram.csv": histogram,
               "mh_true_density.csv": {"y": grid, "pdf": pdf}}
-    figs = {"mh_density.svg": svg} if svg else {}
+    figs = {"mh_density.svg": chart}
 
     summary = {
         "normalizing_constant": density.normalize(),
@@ -181,8 +186,7 @@ def run_mh(plan: mh.MhConfig, root_seed: int, emit_figures: bool):
     return tables, figs, summary, warnings
 
 
-def run_estimator(plan: estimators.EstimatorStudyPlan, root_seed: int,
-                  emit_figures: bool):
+def run_estimator(plan: estimators.EstimatorStudyPlan, root_seed: int):
     result = estimators.run_estimator_study(plan, root_seed)
     dists = result.distributions
     keys, stats = list(result.summaries), list(result.summaries.values())
@@ -204,20 +208,16 @@ def run_estimator(plan: estimators.EstimatorStudyPlan, root_seed: int,
             "iqr": [s.iqr for s in stats],
         },
     }
-    figs = {}
-    if emit_figures:
-        groups = [
-            (f"{name} (n={n})",
-             {"lo": float(vec.min()), "q1": s.q1, "median": s.median,
-              "q3": s.q3, "hi": float(vec.max())})
-            for ((name, n), vec), s in zip(dists.items(), stats)
-        ]
-        figs["estimator_box.svg"] = figures.box_chart(
-            groups,
-            title="Sampling distributions of the scale estimators",
-            ylabel="estimate of sigma",
-            reference=plan.true_sd,
-        )
+    groups = [
+        (f"{name} (n={n})",
+         {"lo": float(vec.min()), "q1": s.q1, "median": s.median,
+          "q3": s.q3, "hi": float(vec.max())})
+        for ((name, n), vec), s in zip(dists.items(), stats)
+    ]
+    figs = {"estimator_box.svg": partial(
+        figures.box_chart, groups,
+        title="Sampling distributions of the scale estimators",
+        ylabel="estimate of sigma", reference=plan.true_sd)}
 
     summary = {
         "true_sd": plan.true_sd,
@@ -229,7 +229,7 @@ def run_estimator(plan: estimators.EstimatorStudyPlan, root_seed: int,
     return tables, figs, summary, []
 
 
-def run_gof(plan: gof.GofPlan, root_seed: int, emit_figures: bool):
+def run_gof(plan: gof.GofPlan, root_seed: int):
     result = gof.simulate_uniform_gof(plan, root_seed)
     tables = {
         "gof_statistics.csv": {
@@ -254,12 +254,11 @@ def run_gof(plan: gof.GofPlan, root_seed: int, emit_figures: bool):
              [gof.chisq_density(x, result.df) for x in grid])
     distances = {}
     for n, vec in result.statistics.items():
-        tables[f"gof_overlay_n{n}.csv"], distances[n], svg = _overlay(
+        (tables[f"gof_overlay_n{n}.csv"], distances[n],
+         figs[f"gof_overlay_n{n}.svg"]) = _overlay(
             gof.EDGES, numerics.histogram_counts(vec, gof.EDGES), len(vec),
-            ref_avg, "chisq_density_bin_avg", emit_figures, curve,
+            ref_avg, "chisq_density_bin_avg", curve,
             f"Null distribution of the Pearson statistic (n={n})", "statistic")
-        if svg:
-            figs[f"gof_overlay_n{n}.svg"] = svg
 
     summary = {
         "bins": plan.bins,
@@ -293,11 +292,14 @@ def run_and_report(config: RunConfig) -> list[dict]:
 
     docs = []
     for name, plan in config.plans.items():
-        tables, figs, summary, warnings = _RUNNERS[name](
-            plan, config.root_seed, config.emit_figures)
+        tables, figs, summary, warnings = _RUNNERS[name](plan, config.root_seed)
+        # every chart is drawn before the study's first file is written, so a
+        # chart that fails leaves nothing of the study on disk
+        svgs = ({fig: draw() for fig, draw in figs.items()}
+                if config.emit_figures else {})
         for table, columns in tables.items():
             write_table(out / table, columns)
-        for fig, svg in figs.items():
+        for fig, svg in svgs.items():
             (out / fig).write_text(svg)
         doc = {
             "tool": "statlab",
@@ -307,7 +309,7 @@ def run_and_report(config: RunConfig) -> list[dict]:
             "root_seed": config.root_seed,
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "tables": list(tables),
-            "figures": list(figs),
+            "figures": list(svgs),
             "warnings": warnings,
             "summary": summary,
         }

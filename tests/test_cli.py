@@ -300,13 +300,16 @@ class TestParseConfig:
 
 
 def test_make_plan_renames_keys_and_keeps_plan_defaults():
-    assert cli.make_plan("gof", {}, None) == GofPlan()
-    assert cli.make_plan("pooling", {"k_range": (3, 6)}, 7) == (
+    assert cli.make_plan("gof", {}) == GofPlan()
+    assert cli.make_plan("pooling", {"k_range": (3, 6), "reps": 7}) == (
         PoolingPlan(k_range=(3, 6), n_reps=7))
-    assert cli.make_plan("estimator", {"sizes": (8, 9), "sigma": 2.0}, 5) == (
+    assert cli.make_plan("estimator",
+                         {"sizes": (8, 9), "sigma": 2.0, "reps": 5}) == (
         EstimatorStudyPlan(sample_sizes=(8, 9), true_sd=2.0, n_reps=5))
-    # the chain takes no replicate count
-    assert cli.make_plan("mh", {"samples": 5, "burn_in": 1}, 50) == (
+    # run settings name no field, and the chain takes no replicate count
+    assert cli.make_plan("mh", {"samples": 5, "burn_in": 1, "reps": 50,
+                                "seed": 3, "out": "x", "figures": True,
+                                "workers": 2}) == (
         MhConfig(n_samples=5, burn_in=1))
 
 

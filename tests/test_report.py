@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from statlab import cli, gof, mh, pooling, report
+from statlab import DEFAULT_SEED, cli, figures, gof, mh, pooling, report
 from statlab.report import RunConfig, run_and_report, write_table
 
 
@@ -133,7 +134,7 @@ def test_run_and_report_writes_exactly_the_listed_files(subcommand, options,
 
     monkeypatch.setattr(report, "write_table", table)
     monkeypatch.setattr(Path, "write_text", text)
-    plan = cli.make_plan(subcommand, options, 50)
+    plan = cli.make_plan(subcommand, {**options, "reps": 50})
     [doc] = run_and_report(RunConfig({subcommand: plan}, root_seed=5,
                                      output_dir=tmp_path, emit_figures=True))
     files = [*doc["tables"], *doc["figures"], f"{subcommand}_summary.json"]
@@ -154,7 +155,7 @@ def test_run_gof_distances_are_shape_distance(monkeypatch):
 
     monkeypatch.setattr(gof, "binned_chisq_density", counted)
     plan = gof.GofPlan(bins=4, sample_sizes=(8, 16, 40), n_reps=300)
-    _, _, summary, _ = report.run_gof(plan, 4, False)
+    _, _, summary, _ = report.run_gof(plan, 4)
     assert len(calls) == 1
     monkeypatch.setattr(gof, "binned_chisq_density", binned)
     result = gof.simulate_uniform_gof(plan, 4)
@@ -183,7 +184,7 @@ def test_run_pooling_warns_when_no_candidate_saves(N):
     candidates = [k for k in range(2, 11) if N % k == 0]
     for p in np.linspace(0.2, 0.35, 31):
         plan = pooling.PoolingPlan(p=p, N=N, k_range=(2, 10), n_reps=2)
-        tables, _, summary, warnings = report.run_pooling(plan, 1, False)
+        tables, _, summary, warnings = report.run_pooling(plan, 1)
         for columns in tables.values():
             for column in columns.values():
                 assert np.all(np.isfinite(column))
@@ -198,7 +199,7 @@ def test_run_pooling_warns_when_no_candidate_saves(N):
 @pytest.mark.parametrize("n_reps", [1, 2])
 def test_run_pooling_warns_that_one_replicate_has_no_spread(n_reps):
     plan = pooling.PoolingPlan(N=60, k_range=(2, 6), n_reps=n_reps)
-    tables, _, _, warnings = report.run_pooling(plan, 1, False)
+    tables, _, _, warnings = report.run_pooling(plan, 1)
     sds = tables["pooling_candidates.csv"]["simulated_sd"]
     assert (max(sds) == 0.0) == (n_reps == 1)
     assert len(warnings) == (n_reps == 1)
@@ -210,7 +211,70 @@ def test_run_gof_warns_when_the_window_misses_the_reference(bins):
     # [0, 20] holds at least 95 % of chi-square's mass up to df = 11 only;
     # the regularised incomplete gamma gives that mass exactly
     plan = gof.GofPlan(bins=bins, sample_sizes=(bins,), n_reps=20)
-    _, _, _, warnings = report.run_gof(plan, 1, False)
+    _, _, _, warnings = report.run_gof(plan, 1)
     mass = scipy.special.gammainc((bins - 1) / 2, gof.EDGES[-1] / 2)
     assert len(warnings) == (mass < 0.95)
     assert all(f"{mass:.1%}" in w and "--bins" in w for w in warnings)
+
+
+def test_run_pooling_summary_reads_the_tables_savings_ratio():
+    # one formula for the savings ratio: the summary's value at the best k is
+    # the table's cell, bit for bit
+    tables, _, summary, _ = report.run_pooling(pooling.PoolingPlan(),
+                                               DEFAULT_SEED)
+    candidates = tables["pooling_candidates.csv"]
+    best = candidates["k"].index(summary["best_integer_k"])
+    assert summary["savings_ratio_at_best_k"] == (
+        candidates["savings_ratio"][best])
+
+
+@pytest.mark.parametrize("sd, warns", [
+    (1e-4, True), (0.1, False), (20.0, True), (1000.0, True),
+    (0.3, False), (1.0, False), (2.5, False),
+])
+def test_run_mh_warns_when_the_acceptance_rate_is_extreme(sd, warns):
+    # at the default chain length: near 1, tiny steps are nearly all taken;
+    # near 0, long steps are nearly all refused
+    _, _, summary, warnings = report.run_mh(mh.MhConfig(proposal_sd=sd),
+                                            DEFAULT_SEED)
+    rate = summary["acceptance_rate"]
+    assert (not 0.05 <= rate <= 0.95) == warns
+    assert len(warnings) == warns
+    assert all("--proposal-sd" in w and f"{rate:.4f}" in w for w in warnings)
+
+
+CHARTS = ("line_chart", "histogram_chart", "box_chart")
+
+
+def test_only_the_writer_draws_figures(tmp_path, monkeypatch):
+    originals = {chart: getattr(figures, chart) for chart in CHARTS}
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("a chart was drawn")
+
+    for chart in CHARTS:
+        monkeypatch.setattr(figures, chart, failing)
+    argv = ["all", "--reps", "50", "--out"]
+    assert cli.main([*argv, str(tmp_path / "plain")]) == 0
+    assert not list((tmp_path / "plain").glob("*.svg"))
+    # every chart is drawn before the first file: one that fails leaves nothing
+    assert cli.main([*argv, str(tmp_path / "failed"), "--figures"]) == 1
+    assert not list((tmp_path / "failed").iterdir())
+
+    drawn = []
+
+    def counting(chart):
+        def draw(*args, **kwargs):
+            drawn.append(originals[chart](*args, **kwargs))
+            return drawn[-1]
+        return draw
+
+    for chart in CHARTS:
+        monkeypatch.setattr(figures, chart, counting(chart))
+    out = tmp_path / "drawn"
+    assert cli.main([*argv, str(out), "--figures"]) == 0
+    listed = [fig for path in out.glob("*_summary.json")
+              for fig in json.loads(path.read_text())["figures"]]
+    assert len(listed) == 5
+    assert sorted(p.name for p in out.glob("*.svg")) == sorted(listed)
+    assert sorted(drawn) == sorted((out / fig).read_text() for fig in listed)
