@@ -239,6 +239,11 @@ def run_gof(plan: gof.GofPlan, root_seed: int):
         },
     }
     figs, warnings = {}, []
+    if plan.bins in plan.sample_sizes:
+        warnings.append(
+            f"--sizes {plan.bins} equals --bins {plan.bins}: one expected count "
+            f"per cell, too few for the chi-square reference, so its "
+            f"shape_distance is large; use sizes of at least twice --bins")
     # one reference for every size; the distances are gof.shape_distance's
     ref_avg = gof.binned_chisq_density(result.df, gof.EDGES)
     mass = ref_avg.sum() * (gof.EDGES[1] - gof.EDGES[0])

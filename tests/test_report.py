@@ -209,12 +209,27 @@ def test_run_pooling_warns_that_one_replicate_has_no_spread(n_reps):
 @pytest.mark.parametrize("bins", [2, 4, 8, 12, 13, 32])
 def test_run_gof_warns_when_the_window_misses_the_reference(bins):
     # [0, 20] holds at least 95 % of chi-square's mass up to df = 11 only;
-    # the regularised incomplete gamma gives that mass exactly
-    plan = gof.GofPlan(bins=bins, sample_sizes=(bins,), n_reps=20)
+    # the regularised incomplete gamma gives that mass exactly.  The warning
+    # depends on bins alone; at two counts per cell no other warning fires
+    plan = gof.GofPlan(bins=bins, sample_sizes=(2 * bins,), n_reps=20)
     _, _, _, warnings = report.run_gof(plan, 1)
     mass = scipy.special.gammainc((bins - 1) / 2, gof.EDGES[-1] / 2)
     assert len(warnings) == (mass < 0.95)
     assert all(f"{mass:.1%}" in w and "--bins" in w for w in warnings)
+
+
+@pytest.mark.parametrize("bins, sizes, warns", [
+    (8, (8,), True), (4, (4, 40), True), (2, (2,), True),
+    (8, (16, 64), False), (4, (8, 40), False), (2, (16, 64), False),
+])
+def test_run_gof_warns_when_a_size_gives_one_count_per_cell(bins, sizes, warns):
+    # n = bins expects one count per cell, the only regime below two that
+    # GofPlan admits; --bins 8 --sizes 8 reads shape_distance 0.390.  The
+    # default and golden plans stay silent
+    plan = gof.GofPlan(bins=bins, sample_sizes=sizes, n_reps=20)
+    _, _, _, warnings = report.run_gof(plan, 1)
+    assert len(warnings) == warns
+    assert all(f"--sizes {bins} equals --bins {bins}" in w for w in warnings)
 
 
 def test_run_pooling_summary_reads_the_tables_savings_ratio():
