@@ -10,19 +10,17 @@ Run: python demos/mh_sampling_walkthrough.py
 
 import numpy as np
 
-from statlab.mh import (EDGES, MhConfig, TargetDensity, binned_true_density,
-                        iter_chain, run_chain)
+from statlab.mh import (EDGES, MhConfig, binned_true_density, iter_chain,
+                        normalizing_constant, run_chain, second_moment,
+                        unnormalized)
 from statlab.numerics import density_vs_reference, integrate_real_line
 
 SEED = 20070420
 
 # Step 1: the normalizing constant.  The density is even, so integrate the
 # positive half line and double.
-density = TargetDensity()
-from statlab.mh import unnormalized  # noqa: E402
-
 quad = integrate_real_line(unnormalized, tol=1e-10, even=True)
-c = density.normalize()
+c = normalizing_constant()
 print(f"integral of the unnormalized density: {quad.value:.6f} "
       f"(+-{quad.abs_error:.1e}, {quad.evaluations} evaluations)")
 print(f"normalizing constant c = 1/{quad.value:.6f} = {c:.6f}\n")
@@ -37,7 +35,7 @@ print(f"chain of {chain.config.n_samples} samples "
 print(f"acceptance rate: {chain.acceptance_rate:.3f}")
 
 # Step 3: does the sample look like the target?
-target_var = density.second_moment()
+target_var = second_moment()
 print(f"sample mean     {chain.mean:+.4f}   (target 0, by symmetry)")
 print(f"sample variance {chain.variance:.4f}   (target {target_var:.4f}, "
       f"by quadrature)")
@@ -50,7 +48,7 @@ print(f"fraction positive: {(samples > 0).mean():.4f} (target 0.5)")
 # the chain's counts on EDGES (40 bins on [-3, 3]) against the truth's
 # average over each bin
 _, distance = density_vs_reference(chain.counts, chain.config.n_samples, EDGES,
-                                   binned_true_density(density, EDGES))
+                                   binned_true_density(EDGES))
 print(f"\nsup histogram-vs-truth gap on [-3, 3], 40 bins: {distance:.4f}")
 
 # crude terminal histogram against the bin-averaged truth

@@ -37,13 +37,11 @@ print(f"Savings factor at k={best_k}: "
 # --- simulation track -------------------------------------------------------
 print(f"Simulated mean total tests ({REPS:,} replicates each):")
 for k in candidates:
-    design = pooling.PoolingDesign(N=N, k=k, n=N // k, p=p)
-    cost = pooling.simulate_pooling(design, REPS, SEED,
-                                    experiment_id=f"demo-k{k}")
+    cost = pooling.simulate_pooling(N, k, p, REPS, SEED)
     analytic = pooling.expected_tests(k, N // k, p)
-    se = cost.simulated_sd / np.sqrt(REPS)
-    gap = cost.simulated_mean - analytic
-    print(f"  k={k:2d}: {cost.simulated_mean:8.1f}  "
+    se = cost.sd / np.sqrt(REPS)
+    gap = cost.mean - analytic
+    print(f"  k={k:2d}: {cost.mean:8.1f}  "
           f"(analytic {analytic:8.1f}, "
           f"gap {gap:+6.2f} ~ {gap / se:+.1f} SE)")
 

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import simkit
-from .numerics import SummaryStats, quantile_type7, summarize
+from .numerics import quantile_type7
 
 # 2 * z_{0.75}: the population IQR of a normal is this many standard deviations
 IQR_TO_SIGMA = 1.3489795
@@ -45,13 +45,6 @@ class EstimatorStudyPlan:
                              f"{self.n_reps}")
 
 
-@dataclass(frozen=True)
-class EstimatorStudyResult:
-    # keyed by (estimator name, sample size)
-    distributions: dict[tuple[str, int], np.ndarray]
-    summaries: dict[tuple[str, int], SummaryStats]
-
-
 def sigma_hat_iqr(sample: Sequence[float]) -> float | np.ndarray:
     """IQR-based scale estimate: type-7 interquartile range over 1.3489795.
 
@@ -80,10 +73,11 @@ def sigma_hat_s(sample: Sequence[float]) -> float | np.ndarray:
 
 def run_estimator_study(
     plan: EstimatorStudyPlan, root_seed: int
-) -> EstimatorStudyResult:
-    """Sampling distributions of both estimators at each planned sample size.
+) -> dict[tuple[str, int], np.ndarray]:
+    """Sampling distributions of both estimators at each planned sample size,
+    keyed by (estimator name, sample size).
 
-    ``distributions[(name, n)][i]`` is, bit for bit, ``sigma_hat_<name>(
+    ``result[(name, n)][i]`` is, bit for bit, ``sigma_hat_<name>(
     normals_from_uniforms(uniforms(stream(root_seed, f"estimator-n{n}", i)
     .random_raw(n)), TRUE_MEAN, plan.true_sd))``: replicate ``i``'s
     normals at sample size ``n``.  Replicates are computed in blocks
@@ -106,8 +100,4 @@ def run_estimator_study(
         # values in another order, so summarize could round differently
         distributions[("iqr", n)] = study[:, 0].copy()
         distributions[("s", n)] = study[:, 1].copy()
-    summaries = {key: summarize(vec) for key, vec in distributions.items()}
-    return EstimatorStudyResult(
-        distributions=distributions,
-        summaries=summaries,
-    )
+    return distributions

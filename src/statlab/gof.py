@@ -39,13 +39,6 @@ class GofPlan:
                              f"{self.n_reps}")
 
 
-@dataclass(frozen=True)
-class GofResult:
-    df: int
-    statistics: dict[int, np.ndarray]  # keyed by sample size
-    means: dict[int, float]
-
-
 def pearson_statistic(
     observed: Sequence[float], expected: Sequence[float]
 ) -> float | np.ndarray:
@@ -81,12 +74,13 @@ def bin_uniform(draws: Sequence[float], bins: int) -> np.ndarray:
     return counts.reshape(*idx.shape[:-1], bins).astype(np.int64)
 
 
-def simulate_uniform_gof(plan: GofPlan, root_seed: int) -> GofResult:
-    """Null distribution of the Pearson statistic for each planned sample size.
+def simulate_uniform_gof(plan: GofPlan, root_seed: int) -> dict[int, np.ndarray]:
+    """Null distribution of the Pearson statistic for each planned sample size,
+    keyed by sample size.
 
     Replicate ``i`` at sample size ``n`` bins the uniforms of the first ``n``
     words of its private substream, scaled to (0, bins), so
-    ``statistics[n][i]`` equals, bit for bit, ``pearson_statistic(
+    ``result[n][i]`` equals, bit for bit, ``pearson_statistic(
     bin_uniform(bins * uniforms(stream(root_seed, f"gof-n{n}", i)
     .random_raw(n)), bins), expected)``.  Replicates are computed in
     blocks (``simkit.run_replicates_batched``); the output does not depend on
@@ -104,12 +98,7 @@ def simulate_uniform_gof(plan: GofPlan, root_seed: int) -> GofResult:
 
         statistics[n] = simkit.run_replicates_batched(
             plan.n_reps, f"gof-n{n}", root_seed, n, block_statistics)
-    means = {n: float(v.mean()) for n, v in statistics.items()}
-    return GofResult(
-        df=plan.bins - 1,
-        statistics=statistics,
-        means=means,
-    )
+    return statistics
 
 
 def chisq_density(x: float, df: int) -> float:

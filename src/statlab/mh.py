@@ -7,6 +7,7 @@ underflows near |y| ~ 7).
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -27,28 +28,24 @@ def unnormalized(y: float) -> float:
     return math.exp(log_unnormalized(y))
 
 
-class TargetDensity:
-    """The fixed target family (1+|y|)^3*exp(-y^4)/Z on the whole real line."""
+@functools.cache
+def normalizing_constant() -> float:
+    """1/Z for the target (1+|y|)^3*exp(-y^4)/Z on the whole real line, with
+    Z = 2 * integral of the unnormalized density over [0, inf)."""
+    return 1.0 / integrate_real_line(unnormalized, tol=1e-10, even=True).value
 
-    def __init__(self):
-        self._constant: float | None = None
 
-    def normalize(self) -> float:
-        """Normalizing constant 1/Z with Z = 2 * integral of g over [0, inf)."""
-        if self._constant is None:
-            res = integrate_real_line(unnormalized, tol=1e-10, even=True)
-            self._constant = 1.0 / res.value
-        return self._constant
+def pdf(y: float) -> float:
+    """The normalized target density at y."""
+    return normalizing_constant() * unnormalized(y)
 
-    def pdf(self, y: float) -> float:
-        return self.normalize() * unnormalized(y)
 
-    def second_moment(self) -> float:
-        """Variance of the target (its mean is 0 by symmetry), by quadrature."""
-        res = integrate_real_line(
-            lambda y: y * y * unnormalized(y), tol=1e-10, even=True
-        )
-        return self.normalize() * res.value
+def second_moment() -> float:
+    """Variance of the target (its mean is 0 by symmetry), by quadrature."""
+    res = integrate_real_line(
+        lambda y: y * y * unnormalized(y), tol=1e-10, even=True
+    )
+    return normalizing_constant() * res.value
 
 
 # The widest proposal: a step is at most 37.05 sd (ndtri of the clamped
@@ -175,6 +172,7 @@ def run_chain(config: MhConfig, root_seed: int) -> ChainResult:
                        mean=math.fsum(sums) / n, variance=math.fsum(squares) / n)
 
 
-def binned_true_density(density: TargetDensity, edges: np.ndarray) -> np.ndarray:
+def binned_true_density(edges: np.ndarray) -> np.ndarray:
     """Average of the normalized target over each histogram bin."""
-    return density.normalize() * bin_integrals(unnormalized, edges) / np.diff(edges)
+    mass = bin_integrals(unnormalized, edges)
+    return normalizing_constant() * mass / np.diff(edges)

@@ -36,14 +36,12 @@ class QuadratureResult:
 
 @dataclass(frozen=True)
 class SummaryStats:
-    n: int
     mean: float
     sd: float
     q1: float
     median: float
     q3: float
     iqr: float
-    degenerate: bool = False
 
 
 def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, count, budget, depth):
@@ -283,19 +281,15 @@ def quantile_type7(
 def summarize(sample: Sequence[float]) -> SummaryStats:
     """Mean, sd (divisor n-1), and type-7 quartiles of a sample."""
     x = np.asarray(sample, dtype=float)
-    n = x.size
-    if n == 0:
+    if x.size == 0:
         raise ValueError("sample must be non-empty")
-    degenerate = n == 1
-    sd = 0.0 if degenerate else float(np.std(x, ddof=1))
+    sd = 0.0 if x.size == 1 else float(np.std(x, ddof=1))
     q1, median, q3 = quantile_type7(x, (0.25, 0.5, 0.75))
     return SummaryStats(
-        n=int(n),
         mean=float(np.mean(x)),
         sd=sd,
         q1=q1,
         median=median,
         q3=q3,
         iqr=q3 - q1,
-        degenerate=degenerate,
     )

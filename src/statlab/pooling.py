@@ -12,24 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simkit
-from .numerics import minimize_scalar, solve_root, summarize
-
-
-@dataclass(frozen=True)
-class PoolingDesign:
-    N: int  # total people tested
-    k: int  # people per pool
-    n: int  # number of pools
-    p: float  # prevalence
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("pool size k must be >= 2")
-        if self.N != self.n * self.k:
-            raise ValueError("need N = n * k exactly")
-        # closed interval: p = 0 and p = 1 are useful degenerate checks
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("prevalence must lie in [0, 1]")
+from .numerics import SummaryStats, minimize_scalar, solve_root, summarize
 
 
 # The smallest prevalence: a 53-bit uniform's resolution, below which
@@ -69,13 +52,6 @@ class PoolingPlan:
         """The pool sizes in the k-range that divide N."""
         lo, hi = self.k_range
         return [k for k in range(lo, hi + 1) if self.N % k == 0]
-
-
-@dataclass(frozen=True)
-class PoolingCost:
-    """The simulated total test count's mean and sd over replicates."""
-    simulated_mean: float
-    simulated_sd: float
 
 
 @dataclass(frozen=True)
@@ -197,19 +173,24 @@ def savings_ratio(k: float, p: float) -> float:
 
 
 def simulate_pooling(
-    design: PoolingDesign,
-    n_reps: int,
-    root_seed: int,
-    experiment_id: str = "pooling",
-) -> PoolingCost:
-    """Monte Carlo estimate of the total test count for a pooling design.
+    N: int, k: int, p: float, n_reps: int, root_seed: int
+) -> SummaryStats:
+    """Monte Carlo summary of the total test count for N people in pools of k.
 
-    Per replicate: N Bernoulli(p) disease statuses, partitioned into n pools
-    of k; total tests = n + k * (number of positive pools).  Replicate ``i``'s
-    statuses are ``uniforms_below(stream(root_seed, experiment_id, i)
-    .random_raw(N), p)``, drawn on ``simkit.run_replicates_batched``.
+    Per replicate: N Bernoulli(p) disease statuses, partitioned into N // k
+    pools of k; total tests = N // k + k * (number of positive pools).
+    Replicate ``i``'s statuses are ``uniforms_below(stream(root_seed,
+    f"pooling-k{k}", i).random_raw(N), p)``, drawn on
+    ``simkit.run_replicates_batched``.
     """
-    k, n, p = design.k, design.n, design.p
+    if k < 2:
+        raise ValueError("pool size k must be >= 2")
+    if N % k != 0:
+        raise ValueError("pool size k must divide N")
+    # closed interval: p = 0 and p = 1 are useful degenerate checks
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("prevalence must lie in [0, 1]")
+    n = N // k
 
     def block_totals(block: np.ndarray) -> np.ndarray:
         totals = np.empty(len(block))
@@ -221,9 +202,8 @@ def simulate_pooling(
             totals[r] = n + k * (further + 1 if pools.size else 0)
         return totals
 
-    stats = summarize(simkit.run_replicates_batched(
-        n_reps, experiment_id, root_seed, design.N, block_totals))
-    return PoolingCost(simulated_mean=stats.mean, simulated_sd=stats.sd)
+    return summarize(simkit.run_replicates_batched(
+        n_reps, f"pooling-k{k}", root_seed, N, block_totals))
 
 
 def cost_curve(N: int, p: float, k_lo: float, k_hi: float, points: int = 200):

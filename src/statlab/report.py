@@ -102,13 +102,8 @@ def run_pooling(plan: pooling.PoolingPlan, root_seed: int):
         warnings.append(f"--reps {n_reps} gives no spread: simulated_sd reads 0 "
                         f"unmeasured; use --reps 2 or more")
 
-    costs = [
-        pooling.simulate_pooling(
-            pooling.PoolingDesign(N=N, k=k, n=N // k, p=p), n_reps,
-            root_seed, experiment_id=f"pooling-k{k}",
-        )
-        for k in candidates
-    ]
+    costs = [pooling.simulate_pooling(N, k, p, n_reps, root_seed)
+             for k in candidates]
     ks, curve = pooling.cost_curve(N, p, *plan.k_range)
     tables = {
         "pooling_candidates.csv": {
@@ -116,8 +111,8 @@ def run_pooling(plan: pooling.PoolingPlan, root_seed: int):
             "n_pools": [N // k for k in candidates],
             "expected_tests_analytic": [
                 pooling.expected_tests(k, N // k, p) for k in candidates],
-            "simulated_mean": [c.simulated_mean for c in costs],
-            "simulated_sd": [c.simulated_sd for c in costs],
+            "simulated_mean": [c.mean for c in costs],
+            "simulated_sd": [c.sd for c in costs],
             "savings_ratio": ratios,
         },
         "pooling_cost_curve.csv": {"k": ks, "expected_tests": curve},
@@ -152,7 +147,6 @@ def run_mh(plan: mh.MhConfig, root_seed: int):
             f"({defaults.burn_in}/{defaults.n_samples}); results may be noisy"
         )
 
-    density = mh.TargetDensity()
     result = mh.run_chain(plan, root_seed)
     # near 1, tiny steps are nearly all taken; near 0, long steps are nearly
     # all refused: either way the chain barely explores the target
@@ -162,10 +156,10 @@ def run_mh(plan: mh.MhConfig, root_seed: int):
             f"[0.05, 0.95]: the chain mixes too slowly to stand for the "
             f"target; tune --proposal-sd")
     grid = np.linspace(mh.EDGES[0], mh.EDGES[-1], 201)
-    pdf = [density.pdf(y) for y in grid]
+    pdf = [mh.pdf(y) for y in grid]
     histogram, distance, chart = _overlay(
         mh.EDGES, result.counts, plan.n_samples,
-        mh.binned_true_density(density, mh.EDGES), "true_density_bin_avg",
+        mh.binned_true_density(mh.EDGES), "true_density_bin_avg",
         ("true density", list(grid), pdf),
         "Metropolis-Hastings samples vs true density", "y")
     tables = {"mh_histogram.csv": histogram,
@@ -173,23 +167,22 @@ def run_mh(plan: mh.MhConfig, root_seed: int):
     figs = {"mh_density.svg": chart}
 
     summary = {
-        "normalizing_constant": density.normalize(),
+        "normalizing_constant": mh.normalizing_constant(),
         "proposal_sd": plan.proposal_sd,
         "burn_in": plan.burn_in,
         "n_samples": plan.n_samples,
         "acceptance_rate": result.acceptance_rate,
         "sample_mean": result.mean,
         "sample_variance": result.variance,
-        "target_variance_quadrature": density.second_moment(),
+        "target_variance_quadrature": mh.second_moment(),
         "density_distance": distance,
     }
     return tables, figs, summary, warnings
 
 
 def run_estimator(plan: estimators.EstimatorStudyPlan, root_seed: int):
-    result = estimators.run_estimator_study(plan, root_seed)
-    dists = result.distributions
-    keys, stats = list(result.summaries), list(result.summaries.values())
+    dists = estimators.run_estimator_study(plan, root_seed)
+    keys, stats = list(dists), [numerics.summarize(v) for v in dists.values()]
     tables = {
         "estimator_distributions.csv": {
             "estimator": np.repeat([name for name, _ in dists], plan.n_reps),
@@ -223,19 +216,20 @@ def run_estimator(plan: estimators.EstimatorStudyPlan, root_seed: int):
         "true_sd": plan.true_sd,
         "n_reps": plan.n_reps,
         "iqr_of_distribution": {
-            f"{name}_n{n}": s.iqr for (name, n), s in result.summaries.items()
+            f"{name}_n{n}": s.iqr for (name, n), s in zip(keys, stats)
         },
     }
     return tables, figs, summary, []
 
 
 def run_gof(plan: gof.GofPlan, root_seed: int):
-    result = gof.simulate_uniform_gof(plan, root_seed)
+    statistics = gof.simulate_uniform_gof(plan, root_seed)
+    df = plan.bins - 1
     tables = {
         "gof_statistics.csv": {
-            "n": np.repeat(list(result.statistics), plan.n_reps),
-            "replicate": np.tile(np.arange(plan.n_reps), len(result.statistics)),
-            "statistic": np.concatenate(list(result.statistics.values())),
+            "n": np.repeat(list(statistics), plan.n_reps),
+            "replicate": np.tile(np.arange(plan.n_reps), len(statistics)),
+            "statistic": np.concatenate(list(statistics.values())),
         },
     }
     figs, warnings = {}, []
@@ -245,20 +239,20 @@ def run_gof(plan: gof.GofPlan, root_seed: int):
             f"per cell, too few for the chi-square reference, so its "
             f"shape_distance is large; use sizes of at least twice --bins")
     # one reference for every size; the distances are gof.shape_distance's
-    ref_avg = gof.binned_chisq_density(result.df, gof.EDGES)
+    ref_avg = gof.binned_chisq_density(df, gof.EDGES)
     mass = ref_avg.sum() * (gof.EDGES[1] - gof.EDGES[0])
     if mass < 0.95:
         warnings.append(
             f"the window [{gof.EDGES[0]:g}, {gof.EDGES[-1]:g}] holds only "
-            f"{mass:.1%} of the chi-square df={result.df} mass and "
+            f"{mass:.1%} of the chi-square df={df} mass and "
             f"shape_distance leaves the rest out; use fewer --bins")
     grid = np.linspace(gof.EDGES[0], gof.EDGES[-1], 201)
-    if result.df == 1:  # the density is infinite at 0: start the curve after it
+    if df == 1:  # the density is infinite at 0: start the curve after it
         grid = grid[1:]
-    curve = (f"chi-square df={result.df}", list(grid),
-             [gof.chisq_density(x, result.df) for x in grid])
+    curve = (f"chi-square df={df}", list(grid),
+             [gof.chisq_density(x, df) for x in grid])
     distances = {}
-    for n, vec in result.statistics.items():
+    for n, vec in statistics.items():
         (tables[f"gof_overlay_n{n}.csv"], distances[n],
          figs[f"gof_overlay_n{n}.svg"]) = _overlay(
             gof.EDGES, numerics.histogram_counts(vec, gof.EDGES), len(vec),
@@ -267,9 +261,9 @@ def run_gof(plan: gof.GofPlan, root_seed: int):
 
     summary = {
         "bins": plan.bins,
-        "df": result.df,
+        "df": df,
         "n_reps": plan.n_reps,
-        "mean_statistic": result.means,
+        "mean_statistic": {n: float(v.mean()) for n, v in statistics.items()},
         "shape_distance": distances,
     }
     return tables, figs, summary, warnings

@@ -15,7 +15,7 @@ from statlab import gof, mh, pooling
 from statlab.cli import main
 from statlab.estimators import EstimatorStudyPlan, run_estimator_study
 from statlab.numerics import (density_vs_reference, integrate_real_line,
-                              solve_root)
+                              solve_root, summarize)
 
 SEED = 20070420
 
@@ -71,16 +71,15 @@ def test_criterion_03_savings_ratio():
 
 def test_criterion_04_simulation_agreement():
     t0 = time.perf_counter()
-    design = pooling.PoolingDesign(N=5000, k=10, n=500, p=0.05)
-    cost = pooling.simulate_pooling(design, 10_000, root_seed=SEED)
+    cost = pooling.simulate_pooling(5000, 10, 0.05, 10_000, root_seed=SEED)
     k_int, _ = pooling.optimal_pool_size_integer(5000, 0.05, [2, 4, 5, 8, 10])
     elapsed = time.perf_counter() - t0
-    se = cost.simulated_sd / math.sqrt(10_000)
-    ok = abs(cost.simulated_mean - 2506.3) <= 3 * se and k_int == 5 and elapsed < 5
+    se = cost.sd / math.sqrt(10_000)
+    ok = abs(cost.mean - 2506.3) <= 3 * se and k_int == 5 and elapsed < 5
     _report(
         "criterion 4 (simulation/analytic agreement)",
         ok,
-        f"mean={cost.simulated_mean:.2f} within 3SE={3 * se:.2f} of 2506.3, "
+        f"mean={cost.mean:.2f} within 3SE={3 * se:.2f} of 2506.3, "
         f"integer search k={k_int}, {elapsed:.2f}s",
     )
 
@@ -99,16 +98,15 @@ def test_criterion_05_normalizing_constant():
 
 def test_criterion_06_mh_correctness():
     t0 = time.perf_counter()
-    density = mh.TargetDensity()
     chain = mh.run_chain(mh.MhConfig(), root_seed=SEED)
     # the chain's streamed counts on mh.EDGES: 40 bins on [-3, 3]
-    reference = mh.binned_true_density(density, mh.EDGES)
+    reference = mh.binned_true_density(mh.EDGES)
     distance = density_vs_reference(chain.counts, chain.config.n_samples,
                                     mh.EDGES, reference)[1]
     elapsed = time.perf_counter() - t0
     mean = chain.mean
     var = chain.variance
-    target_var = density.second_moment()
+    target_var = mh.second_moment()
     ok = (
         abs(mean) <= 0.05
         and abs(var - target_var) <= 0.10 * target_var
@@ -144,12 +142,12 @@ def test_criterion_07_acceptance_ratio_algebra():
 def test_criterion_08_estimator_study():
     t0 = time.perf_counter()
     result = run_estimator_study(EstimatorStudyPlan(), root_seed=SEED)
-    elapsed = time.perf_counter() - t0
     iqr = {
-        (name, n): result.summaries[(name, n)].iqr
+        (name, n): summarize(result[(name, n)]).iqr
         for name in ("iqr", "s")
         for n in (100, 400)
     }
+    elapsed = time.perf_counter() - t0
     ratio = iqr[("iqr", 100)] / iqr[("iqr", 400)]
     ok = (
         abs(iqr[("iqr", 100)] - 0.50) <= 0.07
@@ -176,22 +174,23 @@ def test_criterion_09_gof_simulation():
     result = gof.simulate_uniform_gof(gof.GofPlan(), root_seed=SEED)
     lattice_ok = bool(
         np.allclose(
-            result.statistics[16] * 2,
-            np.round(result.statistics[16] * 2),
+            result[16] * 2,
+            np.round(result[16] * 2),
             atol=1e-9,
         )
     )
     ordering_ok = True
     for seed in range(SEED, SEED + 10):
         r = gof.simulate_uniform_gof(gof.GofPlan(), root_seed=seed)
-        d16 = gof.shape_distance(r.statistics[16], r.df)
-        d64 = gof.shape_distance(r.statistics[64], r.df)
+        d16 = gof.shape_distance(r[16], gof.GofPlan().bins - 1)
+        d64 = gof.shape_distance(r[64], gof.GofPlan().bins - 1)
         if not d64 < d16:
             ordering_ok = False
     elapsed = time.perf_counter() - t0
+    means = {n: float(v.mean()) for n, v in result.items()}
     ok = (
-        abs(result.means[16] - 7.0) <= 0.2
-        and abs(result.means[64] - 7.0) <= 0.2
+        abs(means[16] - 7.0) <= 0.2
+        and abs(means[64] - 7.0) <= 0.2
         and lattice_ok
         and ordering_ok
         and elapsed < 10
@@ -199,7 +198,7 @@ def test_criterion_09_gof_simulation():
     _report(
         "criterion 9 (GOF simulation)",
         ok,
-        f"means {result.means[16]:.3f}/{result.means[64]:.3f} (7+-0.2), "
+        f"means {means[16]:.3f}/{means[64]:.3f} (7+-0.2), "
         f"0.5-lattice={lattice_ok}, 10-seed ordering={ordering_ok}, "
         f"{elapsed:.1f}s",
     )

@@ -1,8 +1,9 @@
 """The walkthroughs in demos/ run to the end.
 
 Each runs in its own Python, as a reader would run it, with RuntimeWarning an
-error as in the rest of the suite.  pooled_testing_walkthrough.py is left out:
-at about 4 s it costs more than the rest of this module together.
+error as in the rest of the suite.  pooled_testing_walkthrough.py, at about
+3 s, costs more than the other three together, but it is the only caller of
+``pooling.simulate_pooling`` outside the library and its tests.
 """
 
 import os
@@ -19,6 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
     "chi_square_null_walkthrough.py",
     "estimator_efficiency_walkthrough.py",
     "mh_sampling_walkthrough.py",
+    "pooled_testing_walkthrough.py",
 ])
 def test_demo_runs(demo):
     env = dict(os.environ)

@@ -14,6 +14,7 @@ from statlab.estimators import (
     sigma_hat_iqr,
     sigma_hat_s,
 )
+from statlab.numerics import summarize
 
 
 class TestConstants:
@@ -106,42 +107,42 @@ def default_result():
 
 class TestStudy:
     def test_distribution_shapes(self, default_result):
-        for key, vec in default_result.distributions.items():
+        for key, vec in default_result.items():
             assert vec.shape == (1000,)
             assert np.all(vec >= 0)
 
     def test_iqr_estimator_spread(self, default_result):
-        assert default_result.summaries[("iqr", 100)].iqr == pytest.approx(
+        assert summarize(default_result[("iqr", 100)]).iqr == pytest.approx(
             0.50, abs=0.07
         )
-        assert default_result.summaries[("iqr", 400)].iqr == pytest.approx(
+        assert summarize(default_result[("iqr", 400)]).iqr == pytest.approx(
             0.25, abs=0.07
         )
 
     def test_s_estimator_spread(self, default_result):
-        assert default_result.summaries[("s", 100)].iqr == pytest.approx(
+        assert summarize(default_result[("s", 100)]).iqr == pytest.approx(
             0.30, abs=0.05
         )
-        assert default_result.summaries[("s", 400)].iqr == pytest.approx(
+        assert summarize(default_result[("s", 400)]).iqr == pytest.approx(
             0.16, abs=0.05
         )
 
     def test_both_center_on_true_sigma(self, default_result):
-        for key, s in default_result.summaries.items():
-            assert s.median == pytest.approx(math.pi, abs=0.05)
+        for vec in default_result.values():
+            assert summarize(vec).median == pytest.approx(math.pi, abs=0.05)
 
     def test_s_is_more_efficient_across_seeds(self):
         for seed in range(20070420, 20070425):
             res = run_estimator_study(EstimatorStudyPlan(), root_seed=seed)
             for n in (100, 400):
                 assert (
-                    res.summaries[("s", n)].iqr < res.summaries[("iqr", n)].iqr
+                    summarize(res[("s", n)]).iqr < summarize(res[("iqr", n)]).iqr
                 )
 
     def test_sqrt_n_scaling(self, default_result):
         ratio = (
-            default_result.summaries[("iqr", 100)].iqr
-            / default_result.summaries[("iqr", 400)].iqr
+            summarize(default_result[("iqr", 100)]).iqr
+            / summarize(default_result[("iqr", 400)]).iqr
         )
         assert 1.7 <= ratio <= 2.3
 
@@ -149,8 +150,8 @@ class TestStudy:
         plan = EstimatorStudyPlan(n_reps=50)
         a = run_estimator_study(plan, root_seed=3)
         b = run_estimator_study(plan, root_seed=3)
-        for key in a.distributions:
-            assert np.array_equal(a.distributions[key], b.distributions[key])
+        for key in a:
+            assert np.array_equal(a[key], b[key])
 
     @pytest.mark.parametrize("block_values", [None, 300])
     def test_matches_per_replicate_definition(self, block_values, monkeypatch):
@@ -165,8 +166,8 @@ class TestStudy:
             for i in range(plan.n_reps):
                 u = replicate_generator(17, f"estimator-n{n}", i).random(n)
                 draws = 42.0 + plan.true_sd * ndtri(np.maximum(u, 1e-300))
-                assert res.distributions[("iqr", n)][i] == sigma_hat_iqr(draws)
-                assert res.distributions[("s", n)][i] == sigma_hat_s(draws)
+                assert res[("iqr", n)][i] == sigma_hat_iqr(draws)
+                assert res[("s", n)][i] == sigma_hat_s(draws)
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
@@ -187,5 +188,5 @@ class TestStudy:
     def test_largest_sigma_stays_finite(self):
         plan = EstimatorStudyPlan(true_sd=MAX_TRUE_SD, n_reps=20)
         res = run_estimator_study(plan, root_seed=4)
-        for vec in res.distributions.values():
+        for vec in res.values():
             assert np.all(np.isfinite(vec))

@@ -88,28 +88,28 @@ def default_result():
 class TestSimulate:
     def test_statistic_vectors(self, default_result):
         for n in (16, 64):
-            vec = default_result.statistics[n]
+            vec = default_result[n]
             assert vec.shape == (10_000,)
             assert np.all(vec >= 0)
 
     def test_discreteness_lattice(self, default_result):
         # expected count 2 puts the statistic on a 0.5 lattice, count 8 on 0.125
-        s16 = default_result.statistics[16]
-        s64 = default_result.statistics[64]
+        s16 = default_result[16]
+        s64 = default_result[64]
         assert np.allclose(s16 * 2, np.round(s16 * 2), atol=1e-9)
         assert np.allclose(s64 * 8, np.round(s64 * 8), atol=1e-9)
 
     def test_exact_mean_identity(self, default_result):
         # E[statistic] = bins - 1 holds exactly for any n under the null
-        assert default_result.means[64] == pytest.approx(7.0, abs=0.15)
-        assert default_result.means[16] == pytest.approx(7.0, abs=0.2)
+        assert default_result[64].mean() == pytest.approx(7.0, abs=0.15)
+        assert default_result[16].mean() == pytest.approx(7.0, abs=0.2)
 
     def test_determinism(self):
         plan = GofPlan(n_reps=100)
         a = simulate_uniform_gof(plan, root_seed=5)
         b = simulate_uniform_gof(plan, root_seed=5)
         for n in plan.sample_sizes:
-            assert np.array_equal(a.statistics[n], b.statistics[n])
+            assert np.array_equal(a[n], b[n])
 
     @pytest.mark.parametrize("bins, sizes", [(8, (16, 64)), (5, (5, 25))])
     def test_matches_per_replicate_definition(self, bins, sizes, monkeypatch):
@@ -132,8 +132,8 @@ class TestSimulate:
                 )
                 for i in range(plan.n_reps)
             ])
-            assert np.array_equal(serial.statistics[n], definition)
-            assert np.array_equal(blocked.statistics[n], definition)
+            assert np.array_equal(serial[n], definition)
+            assert np.array_equal(blocked[n], definition)
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
@@ -204,8 +204,8 @@ class TestShapeDistance:
 
     def test_large_n_closer_than_small_n(self):
         result = simulate_uniform_gof(GofPlan(), root_seed=20070420)
-        d16 = shape_distance(result.statistics[16], 7)
-        d64 = shape_distance(result.statistics[64], 7)
+        d16 = shape_distance(result[16], 7)
+        d64 = shape_distance(result[64], 7)
         assert d64 < d16
 
     def test_empty_rejected(self):

@@ -10,7 +10,6 @@ from statlab import mh
 from statlab.mh import (
     ChainResult,
     MhConfig,
-    TargetDensity,
     binned_true_density,
     iter_chain,
     log_unnormalized,
@@ -52,26 +51,20 @@ def mh_step(x: float, draws: np.random.Generator,
     return x, False
 
 
-@pytest.fixture(scope="module")
-def density():
-    d = TargetDensity()
-    d.normalize()
-    return d
-
-
 class TestNormalization:
-    def test_constant_value(self, density):
-        assert density.normalize() == pytest.approx(1.0 / 6.809611, abs=1e-6)
+    def test_constant_value(self):
+        assert mh.normalizing_constant() == pytest.approx(1.0 / 6.809611, abs=1e-6)
 
-    def test_density_integrates_to_one(self, density):
+    def test_density_integrates_to_one(self):
         from statlab.numerics import integrate_real_line
 
-        total = integrate_real_line(density.pdf, tol=1e-10, even=True)
+        total = integrate_real_line(mh.pdf, tol=1e-10, even=True)
         assert total.value == pytest.approx(1.0, abs=1e-8)
 
-    def test_close_to_rounded_value(self, density):
+    def test_close_to_rounded_value(self):
         # the write-up rounds the constant to 0.15
-        assert abs(density.normalize() - 0.15) / density.normalize() < 0.03
+        c = mh.normalizing_constant()
+        assert abs(c - 0.15) / c < 0.03
 
 
 class TestAcceptanceProb:
@@ -115,9 +108,9 @@ class TestAcceptanceProb:
         reduced = np.exp(np.minimum(0.0, log_reduced))
         assert np.max(np.abs(full - reduced)) < 1e-12
 
-    def test_detailed_balance_spot_check(self, density):
-        lhs = density.pdf(0.0) * acceptance_prob(0.0, 1.0)
-        rhs = density.pdf(1.0) * acceptance_prob(1.0, 0.0)
+    def test_detailed_balance_spot_check(self):
+        lhs = mh.pdf(0.0) * acceptance_prob(0.0, 1.0)
+        rhs = mh.pdf(1.0) * acceptance_prob(1.0, 0.0)
         assert abs(lhs - rhs) < 1e-12
 
     def test_non_finite_rejected(self):
@@ -173,8 +166,8 @@ class TestRunChain:
     def test_mean_near_zero(self, default_samples):
         assert abs(default_samples.mean()) < 0.05
 
-    def test_variance_matches_quadrature(self, default_samples, density):
-        target_var = density.second_moment()
+    def test_variance_matches_quadrature(self, default_samples):
+        target_var = mh.second_moment()
         assert default_samples.var() == pytest.approx(target_var, rel=0.10)
 
     def test_acceptance_rate_band(self, default_chain):
@@ -277,30 +270,30 @@ class TestRunChain:
         assert np.all(np.isfinite(chain_states(config, root_seed=3)))
 
 
-def density_distance(samples: np.ndarray, density: TargetDensity) -> float:
+def density_distance(samples: np.ndarray) -> float:
     """Sup distance of the samples' histogram on ``mh.EDGES`` from the
     bin-averaged target, as ``report.run_mh`` computes it from the counts."""
-    reference = binned_true_density(density, mh.EDGES)
+    reference = binned_true_density(mh.EDGES)
     counts = histogram_counts(samples, mh.EDGES)
     return density_vs_reference(counts, len(samples), mh.EDGES, reference)[1]
 
 
 class TestDensityDistance:
-    def test_mh_samples_close(self, density, default_samples):
-        assert density_distance(default_samples, density) < 0.02
+    def test_mh_samples_close(self, default_samples):
+        assert density_distance(default_samples) < 0.02
 
-    def test_rejection_oracle_close(self, density):
+    def test_rejection_oracle_close(self):
         samples = rejection_sample_target(100_000, seed=314)
-        assert density_distance(samples, density) < 0.02
+        assert density_distance(samples) < 0.02
 
-    def test_detects_wrong_distribution(self, density):
+    def test_detects_wrong_distribution(self):
         rng = np.random.default_rng(6)
         wrong = rng.normal(0.0, 0.1, size=100_000)
-        assert density_distance(wrong, density) > 0.1
+        assert density_distance(wrong) > 0.1
 
-    def test_validation(self, density):
+    def test_validation(self):
         with pytest.raises(ValueError):
-            density_distance(np.array([]), density)
+            density_distance(np.array([]))
 
 
 def test_log_unnormalized_matches_direct_form():

@@ -288,7 +288,6 @@ class TestSummarize:
     def test_singleton_flagged(self):
         s = summarize([3.5])
         assert s.sd == 0.0
-        assert s.degenerate
 
     def test_empty(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from statlab.pooling import (
     POOLING_HELPS_BELOW,
     POOLING_HELPS_INTEGER_BELOW,
     ContinuousOptimum,
-    PoolingDesign,
     PoolingPlan,
     cost_curve,
     expected_tests,
@@ -194,7 +193,7 @@ class TestSavingsRatio:
             )
 
 
-def _replicate_totals(design, n_reps, seed, experiment_id, monkeypatch):
+def _replicate_totals(N, k, p, n_reps, seed, monkeypatch):
     """Per-replicate totals of simulate_pooling, as the replicate engine
     returned them."""
     studies = []
@@ -205,23 +204,22 @@ def _replicate_totals(design, n_reps, seed, experiment_id, monkeypatch):
         return studies[-1]
 
     monkeypatch.setattr(simkit, "run_replicates_batched", recording)
-    simulate_pooling(design, n_reps, seed, experiment_id=experiment_id)
+    simulate_pooling(N, k, p, n_reps, seed)
     return studies[0]
 
 
 class TestSimulatePooling:
     def test_agrees_with_analytic(self):
-        design = PoolingDesign(N=5000, k=10, n=500, p=0.05)
-        cost = simulate_pooling(design, 1000, root_seed=20070420)
-        se = cost.simulated_sd / np.sqrt(1000)
-        assert abs(cost.simulated_mean - 2506.3) < 3 * se
+        cost = simulate_pooling(5000, 10, 0.05, 1000, root_seed=20070420)
+        se = cost.sd / np.sqrt(1000)
+        assert abs(cost.mean - 2506.3) < 3 * se
 
     def test_degenerate_prevalences(self):
-        zero = simulate_pooling(PoolingDesign(N=40, k=4, n=10, p=0.0), 20, 1)
-        assert zero.simulated_mean == 10.0
-        assert zero.simulated_sd == 0.0
-        one = simulate_pooling(PoolingDesign(N=40, k=4, n=10, p=1.0), 20, 1)
-        assert one.simulated_mean == 50.0
+        zero = simulate_pooling(40, 4, 0.0, 20, 1)
+        assert zero.mean == 10.0
+        assert zero.sd == 0.0
+        one = simulate_pooling(40, 4, 1.0, 20, 1)
+        assert one.mean == 50.0
 
     def test_agreement_over_random_designs(self):
         rng = np.random.default_rng(123)
@@ -229,24 +227,20 @@ class TestSimulatePooling:
             k = int(rng.integers(2, 11))
             n = int(rng.integers(10, 51))
             p = float(rng.uniform(0.01, 0.3))
-            design = PoolingDesign(N=n * k, k=k, n=n, p=p)
-            cost = simulate_pooling(design, 10_000, root_seed=500 + trial,
-                                    experiment_id=f"agree-{trial}")
+            cost = simulate_pooling(n * k, k, p, 10_000, root_seed=500 + trial)
             analytic = expected_tests(k, n, p)
-            se = cost.simulated_sd / np.sqrt(10_000)
-            assert abs(cost.simulated_mean - analytic) < 3 * se
+            se = cost.sd / np.sqrt(10_000)
+            assert abs(cost.mean - analytic) < 3 * se
 
     def test_replicate_variance_matches_binomial(self):
         k, n, p = 8, 25, 0.07
-        design = PoolingDesign(N=n * k, k=k, n=n, p=p)
-        cost = simulate_pooling(design, 10_000, root_seed=7)
+        cost = simulate_pooling(n * k, k, p, 10_000, root_seed=7)
         q = 1.0 - (1.0 - p) ** k
         theory = k * k * n * q * (1.0 - q)
-        assert cost.simulated_sd**2 == pytest.approx(theory, rel=0.15)
+        assert cost.sd**2 == pytest.approx(theory, rel=0.15)
 
     def test_replicate_totals_within_bounds(self, monkeypatch):
-        design = PoolingDesign(N=60, k=6, n=10, p=0.4)
-        totals = _replicate_totals(design, 500, 3, "bounds", monkeypatch)
+        totals = _replicate_totals(60, 6, 0.4, 500, 3, monkeypatch)
         assert np.all(totals >= 10)
         assert np.all(totals <= 70)
 
@@ -254,31 +248,35 @@ class TestSimulatePooling:
     @pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 1.0])
     def test_totals_match_any_over_pools(self, k, p, monkeypatch):
         # each replicate's total equals the any-positive-per-pool definition
-        # on the same Bernoulli statuses, bit for bit
-        design = PoolingDesign(N=30 * k, k=k, n=30, p=p)
+        # on the same Bernoulli statuses, those of the streams of experiment
+        # id f"pooling-k{k}", bit for bit
+        N, n = 30 * k, 30
 
         def by_any(i):
-            statuses = replicate_generator(9, "count", i).random(design.N) < p
-            pos = np.any(statuses.reshape(design.n, k), axis=1).sum()
-            return float(design.n + k * pos)
+            statuses = replicate_generator(9, f"pooling-k{k}", i).random(N) < p
+            pos = np.any(statuses.reshape(n, k), axis=1).sum()
+            return float(n + k * pos)
 
         expected = np.array([by_any(i) for i in range(300)])
-        totals = _replicate_totals(design, 300, 9, "count", monkeypatch)
+        totals = _replicate_totals(N, k, p, 300, 9, monkeypatch)
         assert np.array_equal(totals, expected)
 
     @pytest.mark.parametrize("N", [40, 200, 16400])  # short, middle, wide rows
     def test_degenerate_prevalences_every_replicate(self, N, monkeypatch):
         n = N // 4
         for p, total in ((0.0, n), (1.0, n + N)):
-            design = PoolingDesign(N=N, k=4, n=n, p=p)
-            totals = _replicate_totals(design, 70, 2, "edge", monkeypatch)
+            totals = _replicate_totals(N, 4, p, 70, 2, monkeypatch)
             assert totals.tolist() == [total] * 70
 
     def test_design_validation(self):
         with pytest.raises(ValueError):
-            PoolingDesign(N=11, k=2, n=5, p=0.1)
+            simulate_pooling(11, 2, 0.1, 10, 1)
         with pytest.raises(ValueError):
-            PoolingDesign(N=10, k=2, n=5, p=-0.1)
+            simulate_pooling(10, 1, 0.1, 10, 1)
+        with pytest.raises(ValueError):
+            simulate_pooling(10, 2, -0.1, 10, 1)
+        with pytest.raises(ValueError):
+            simulate_pooling(10, 2, 1.5, 10, 1)
 
 
 class TestCostCurve:

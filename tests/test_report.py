@@ -158,9 +158,9 @@ def test_run_gof_distances_are_shape_distance(monkeypatch):
     _, _, summary, _ = report.run_gof(plan, 4)
     assert len(calls) == 1
     monkeypatch.setattr(gof, "binned_chisq_density", binned)
-    result = gof.simulate_uniform_gof(plan, 4)
+    statistics = gof.simulate_uniform_gof(plan, 4)
     assert summary["shape_distance"] == {
-        n: gof.shape_distance(v, result.df) for n, v in result.statistics.items()}
+        n: gof.shape_distance(v, plan.bins - 1) for n, v in statistics.items()}
 
 
 def test_run_gof_two_bins_is_finite(tmp_path):
