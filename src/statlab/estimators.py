@@ -7,14 +7,15 @@ usual sample standard deviation across repeated samples at several n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import math
 
 import numpy as np
 
-from . import simkit
-from .numerics import quantile_type7
+from . import figures, simkit
+from .numerics import quantile_type7, summarize
 
 # 2 * z_{0.75}: the population IQR of a normal is this many standard deviations
 IQR_TO_SIGMA = 1.3489795
@@ -43,6 +44,48 @@ class EstimatorStudyPlan:
         if not 2 <= self.n_reps <= simkit.MAX_REPS:
             raise ValueError(f"n_reps must lie in [2, {simkit.MAX_REPS}], got "
                              f"{self.n_reps}")
+
+    def run(self, root_seed: int):
+        """The study's tables, figures to draw, summary and no warnings."""
+        dists = run_estimator_study(self, root_seed)
+        keys, stats = list(dists), [summarize(v) for v in dists.values()]
+        tables = {
+            "estimator_distributions.csv": {
+                "estimator": np.repeat([name for name, _ in dists], self.n_reps),
+                "n": np.repeat([n for _, n in dists], self.n_reps),
+                "replicate": np.tile(np.arange(self.n_reps), len(dists)),
+                "estimate": np.concatenate(list(dists.values())),
+            },
+            "estimator_summary.csv": {
+                "estimator": [name for name, _ in keys],
+                "n": [n for _, n in keys],
+                "mean": [s.mean for s in stats],
+                "sd": [s.sd for s in stats],
+                "q1": [s.q1 for s in stats],
+                "median": [s.median for s in stats],
+                "q3": [s.q3 for s in stats],
+                "iqr": [s.iqr for s in stats],
+            },
+        }
+        groups = [
+            (f"{name} (n={n})",
+             {"lo": float(vec.min()), "q1": s.q1, "median": s.median,
+              "q3": s.q3, "hi": float(vec.max())})
+            for ((name, n), vec), s in zip(dists.items(), stats)
+        ]
+        figs = {"estimator_box.svg": partial(
+            figures.box_chart, groups,
+            title="Sampling distributions of the scale estimators",
+            ylabel="estimate of sigma", reference=self.true_sd)}
+
+        summary = {
+            "true_sd": self.true_sd,
+            "n_reps": self.n_reps,
+            "iqr_of_distribution": {
+                f"{name}_n{n}": s.iqr for (name, n), s in zip(keys, stats)
+            },
+        }
+        return tables, figs, summary, []
 
 
 def sigma_hat_iqr(sample: Sequence[float]) -> float | np.ndarray:

@@ -13,7 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from . import simkit
-from .numerics import bin_integrals, density_vs_reference, histogram_counts
+from .numerics import (bin_integrals, density_vs_reference, histogram_counts,
+                       histogram_overlay)
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,54 @@ class GofPlan:
         if not 1 <= self.n_reps <= simkit.MAX_REPS:
             raise ValueError(f"n_reps must lie in [1, {simkit.MAX_REPS}], got "
                              f"{self.n_reps}")
+
+    def run(self, root_seed: int):
+        """The study's tables, figures to draw, summary and warnings."""
+        statistics = simulate_uniform_gof(self, root_seed)
+        df = self.bins - 1
+        tables = {
+            "gof_statistics.csv": {
+                "n": np.repeat(list(statistics), self.n_reps),
+                "replicate": np.tile(np.arange(self.n_reps), len(statistics)),
+                "statistic": np.concatenate(list(statistics.values())),
+            },
+        }
+        figs, warnings = {}, []
+        if self.bins in self.sample_sizes:
+            warnings.append(
+                f"--sizes {self.bins} equals --bins {self.bins}: one expected "
+                f"count per cell, too few for the chi-square reference, so its "
+                f"shape_distance is large; use sizes of at least twice --bins")
+        # one reference for every size; the distances are shape_distance's
+        ref_avg = binned_chisq_density(df, EDGES)
+        mass = ref_avg.sum() * (EDGES[1] - EDGES[0])
+        if mass < 0.95:
+            warnings.append(
+                f"the window [{EDGES[0]:g}, {EDGES[-1]:g}] holds only "
+                f"{mass:.1%} of the chi-square df={df} mass and "
+                f"shape_distance leaves the rest out; use fewer --bins")
+        grid = np.linspace(EDGES[0], EDGES[-1], 201)
+        if df == 1:  # the density is infinite at 0: start the curve after it
+            grid = grid[1:]
+        curve = (f"chi-square df={df}", list(grid),
+                 [chisq_density(x, df) for x in grid])
+        distances = {}
+        for n, vec in statistics.items():
+            (tables[f"gof_overlay_n{n}.csv"], distances[n],
+             figs[f"gof_overlay_n{n}.svg"]) = histogram_overlay(
+                EDGES, histogram_counts(vec, EDGES), len(vec), ref_avg,
+                "chisq_density_bin_avg", curve,
+                f"Null distribution of the Pearson statistic (n={n})",
+                "statistic")
+
+        summary = {
+            "bins": self.bins,
+            "df": df,
+            "n_reps": self.n_reps,
+            "mean_statistic": {n: float(v.mean()) for n, v in statistics.items()},
+            "shape_distance": distances,
+        }
+        return tables, figs, summary, warnings
 
 
 def pearson_statistic(

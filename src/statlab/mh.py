@@ -15,7 +15,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .numerics import bin_integrals, histogram_counts, integrate_real_line
+from .numerics import (bin_integrals, histogram_counts, histogram_overlay,
+                       integrate_real_line)
 from .simkit import normals_from_uniforms, stream
 
 
@@ -74,6 +75,48 @@ class MhConfig:
             raise ValueError(f"n_samples must lie in [1, {most}] (the longest "
                              f"chain's {MAX_CHAIN_STEPS} steps less burn_in = "
                              f"{self.burn_in}), got {self.n_samples}")
+
+    def run(self, root_seed: int):
+        """The chain's tables, figures to draw, summary and warnings."""
+        defaults = MhConfig()
+        short = [f"{flag} {value} is below its default {default}"
+                 for flag, value, default in (
+                     ("--burn-in", self.burn_in, defaults.burn_in),
+                     ("--samples", self.n_samples, defaults.n_samples))
+                 if value < default]
+        warnings = ([f"short chain: {' and '.join(short)}; results may be noisy"]
+                    if short else [])
+
+        result = run_chain(self, root_seed)
+        # near 1, tiny steps are nearly all taken; near 0, long steps are
+        # nearly all refused: either way the chain barely explores the target
+        if not 0.05 <= result.acceptance_rate <= 0.95:
+            warnings.append(
+                f"acceptance rate {result.acceptance_rate:.4f} lies outside "
+                f"[0.05, 0.95]: the chain mixes too slowly to stand for the "
+                f"target; tune --proposal-sd")
+        grid = np.linspace(EDGES[0], EDGES[-1], 201)
+        density = [pdf(y) for y in grid]
+        histogram, distance, chart = histogram_overlay(
+            EDGES, result.counts, self.n_samples, binned_true_density(EDGES),
+            "true_density_bin_avg", ("true density", list(grid), density),
+            "Metropolis-Hastings samples vs true density", "y")
+        tables = {"mh_histogram.csv": histogram,
+                  "mh_true_density.csv": {"y": grid, "pdf": density}}
+        figs = {"mh_density.svg": chart}
+
+        summary = {
+            "normalizing_constant": normalizing_constant(),
+            "proposal_sd": self.proposal_sd,
+            "burn_in": self.burn_in,
+            "n_samples": self.n_samples,
+            "acceptance_rate": result.acceptance_rate,
+            "sample_mean": result.mean,
+            "sample_variance": result.variance,
+            "target_variance_quadrature": second_moment(),
+            "density_distance": distance,
+        }
+        return tables, figs, summary, warnings
 
 
 # The window on which a chain's histogram is set beside the target: [-3, 3]

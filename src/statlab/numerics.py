@@ -5,9 +5,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
+
+from . import figures
 
 DEFAULT_QUAD_TOL = 1e-10  # relative
 DEFAULT_OPT_TOL = 1e-6
@@ -241,6 +244,19 @@ def density_vs_reference(counts: np.ndarray, n: int, edges: np.ndarray,
         raise ValueError("samples must be non-empty")
     empirical = counts / (n * (edges[1] - edges[0]))
     return empirical, float(np.max(np.abs(empirical - reference)))
+
+
+def histogram_overlay(edges, counts, n, reference, column, curve, title, xlabel):
+    """A histogram of ``n`` samples with ``counts`` on ``edges`` beside a
+    reference density whose bin averages are ``reference``: the overlay table
+    (the averages under ``column``), the sup distance between the two, and the
+    chart, to draw, with ``curve`` drawn over the bars."""
+    empirical, distance = density_vs_reference(counts, n, edges, reference)
+    table = {"bin_lo": edges[:-1], "bin_hi": edges[1:],
+             "empirical_density": empirical, column: reference}
+    return table, distance, partial(
+        figures.histogram_chart, list(edges), list(empirical), overlay=curve,
+        title=title, xlabel=xlabel)
 
 
 def bin_integrals(f: Callable[[float], float], edges: np.ndarray) -> np.ndarray:

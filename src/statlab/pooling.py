@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import simkit
+from . import figures, simkit
 from .numerics import SummaryStats, minimize_scalar, solve_root, summarize
 
 
@@ -52,6 +53,64 @@ class PoolingPlan:
         """The pool sizes in the k-range that divide N."""
         lo, hi = self.k_range
         return [k for k in range(lo, hi + 1) if self.N % k == 0]
+
+    def run(self, root_seed: int):
+        """The study's tables, figures to draw, summary and warnings."""
+        p, N, n_reps, candidates = self.p, self.N, self.n_reps, self.candidates
+        best_k, best_cost = optimal_pool_size_integer(N, p, candidates)
+        cont = optimal_pool_size_continuous(p)
+        helps = pooling_helps(p)
+        ratios = [savings_ratio(k, p) for k in candidates]
+        best_ratio = ratios[candidates.index(best_k)]
+        warnings = []
+        if not helps:
+            warnings.append(
+                f"pooling cannot beat individual testing at p={p} (it needs p < "
+                f"{POOLING_HELPS_BELOW:.4f}); test individually"
+            )
+        elif best_ratio <= 1.0:
+            warnings.append(
+                f"no candidate pool size beats individual testing at p={p}: the "
+                f"best, k={best_k}, has savings ratio {best_ratio:.4f}; test "
+                f"individually"
+            )
+        if n_reps < 2:
+            warnings.append(f"--reps {n_reps} gives no spread: simulated_sd "
+                            f"reads 0 unmeasured; use --reps 2 or more")
+
+        costs = [simulate_pooling(N, k, p, n_reps, root_seed) for k in candidates]
+        ks, curve = cost_curve(N, p, *self.k_range)
+        tables = {
+            "pooling_candidates.csv": {
+                "k": candidates,
+                "n_pools": [N // k for k in candidates],
+                "expected_tests_analytic": [
+                    expected_tests(k, N // k, p) for k in candidates],
+                "simulated_mean": [c.mean for c in costs],
+                "simulated_sd": [c.sd for c in costs],
+                "savings_ratio": ratios,
+            },
+            "pooling_cost_curve.csv": {"k": ks, "expected_tests": curve},
+        }
+        figs = {"pooling_cost_curve.svg": partial(
+            figures.line_chart, ("expected tests", list(ks), list(curve)),
+            title=f"Expected tests vs pool size (N={N}, p={p})",
+            xlabel="pool size k", ylabel="expected number of tests")}
+
+        summary = {
+            "p": p,
+            "N": N,
+            "n_reps": n_reps,
+            "best_integer_k": best_k,
+            "best_integer_expected_tests": best_cost,
+            "pooling_helps": helps,
+            "pooling_helps_integer": pooling_helps_integer(p),
+            "continuous_optimum_k": cont.k,
+            "continuous_optimum_at_boundary": cont.at_boundary,
+            "bisection_cross_check_k": optimal_pool_size_root(p),
+            "savings_ratio_at_best_k": best_ratio,
+        }
+        return tables, figs, summary, warnings
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import statlab
-from statlab import cli, report
+from statlab import cli
 from statlab.cli import OPTIONS, main, parse_config
 from statlab.estimators import MAX_TRUE_SD, EstimatorStudyPlan
 from statlab.gof import GofPlan
@@ -183,6 +183,20 @@ class TestParseConfig:
         assert main(["pooling", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"config file {cfg}: {message}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, message", [
+        ("missing.json", "No such file or directory"),
+        (".", "Is a directory"),
+    ])
+    def test_unreadable_config_file_is_usage_error_naming_it(self, name, message,
+                                                             tmp_path, capsys):
+        cfg = tmp_path / name
+        out = tmp_path / "out"
+        assert main(["pooling", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: statlab")
+        assert f"error: config file {cfg}: " in err and message in err
         assert not out.exists()
 
     def test_all_names_the_study_that_rejects_a_value(self, capsys):
@@ -429,6 +443,13 @@ class TestRunAndReport:
         summary = json.loads((tmp_path / "mh_summary.json").read_text())
         assert any("short chain" in w for w in summary["warnings"])
         assert "short chain" in capsys.readouterr().err
+        # the warning names each flag below its default, with its value
+        [short] = [w for w in summary["warnings"] if "short chain" in w]
+        assert "--burn-in 1000" in short and "--samples 1000" in short
+        assert main(["mh", "--samples", "1000", "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "mh_summary.json").read_text())
+        [short] = [w for w in summary["warnings"] if "short chain" in w]
+        assert "--samples 1000" in short and "--burn-in" not in short
 
     def test_estimator_report(self, tmp_path):
         code = main(
@@ -448,13 +469,13 @@ class TestRunAndReport:
 
     def test_non_finite_summary_is_runtime_error(self, tmp_path, monkeypatch,
                                                  capsys):
-        run_gof = report._RUNNERS["gof"]
+        run_gof = GofPlan.run
 
         def nan_summary(*args):
             tables, figs, summary, warnings = run_gof(*args)
             return tables, figs, {**summary, "mean_statistic": float("nan")}, warnings
 
-        monkeypatch.setitem(report._RUNNERS, "gof", nan_summary)
+        monkeypatch.setattr(GofPlan, "run", nan_summary)
         assert main(["gof", "--reps", "10", "--out", str(tmp_path)]) == 1
         assert "gof summary" in capsys.readouterr().err
         assert not (tmp_path / "gof_summary.json").exists()
@@ -480,3 +501,23 @@ class TestRunAndReport:
         for name in ("pooling", "mh", "estimator", "gof"):
             doc = json.loads((tmp_path / f"{name}_summary.json").read_text())
             assert doc["environment"] == environment
+
+    def test_all_writes_what_each_study_writes_alone(self, tmp_path):
+        # the studies, run one at a time in reverse order, write the same
+        # bytes as all does, summaries up to their timestamps: no study reads
+        # state that another leaves behind
+        alone, together = tmp_path / "alone", tmp_path / "together"
+        for name in ("gof", "estimator", "mh", "pooling"):
+            reps = [] if name == "mh" else ["--reps", "50"]
+            assert main([name, *reps, "--figures", "--out", str(alone)]) == 0
+        assert main(["all", "--reps", "50", "--figures",
+                     "--out", str(together)]) == 0
+        files = sorted(p.name for p in alone.iterdir())
+        assert sorted(p.name for p in together.iterdir()) == files
+        assert len(files) == 4 + 9 + 5  # summaries, tables, figures
+        for name in files:
+            a, b = (alone / name).read_bytes(), (together / name).read_bytes()
+            if name.endswith("_summary.json"):
+                a, b = json.loads(a), json.loads(b)
+                assert a.pop("timestamp") and b.pop("timestamp")
+            assert a == b, name

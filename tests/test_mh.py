@@ -272,7 +272,7 @@ class TestRunChain:
 
 def density_distance(samples: np.ndarray) -> float:
     """Sup distance of the samples' histogram on ``mh.EDGES`` from the
-    bin-averaged target, as ``report.run_mh`` computes it from the counts."""
+    bin-averaged target, as ``MhConfig.run`` computes it from the counts."""
     reference = binned_true_density(mh.EDGES)
     counts = histogram_counts(samples, mh.EDGES)
     return density_vs_reference(counts, len(samples), mh.EDGES, reference)[1]

@@ -155,7 +155,7 @@ def test_run_gof_distances_are_shape_distance(monkeypatch):
 
     monkeypatch.setattr(gof, "binned_chisq_density", counted)
     plan = gof.GofPlan(bins=4, sample_sizes=(8, 16, 40), n_reps=300)
-    _, _, summary, _ = report.run_gof(plan, 4)
+    _, _, summary, _ = plan.run(4)
     assert len(calls) == 1
     monkeypatch.setattr(gof, "binned_chisq_density", binned)
     statistics = gof.simulate_uniform_gof(plan, 4)
@@ -184,7 +184,7 @@ def test_run_pooling_warns_when_no_candidate_saves(N):
     candidates = [k for k in range(2, 11) if N % k == 0]
     for p in np.linspace(0.2, 0.35, 31):
         plan = pooling.PoolingPlan(p=p, N=N, k_range=(2, 10), n_reps=2)
-        tables, _, summary, warnings = report.run_pooling(plan, 1)
+        tables, _, summary, warnings = plan.run(1)
         for columns in tables.values():
             for column in columns.values():
                 assert np.all(np.isfinite(column))
@@ -199,7 +199,7 @@ def test_run_pooling_warns_when_no_candidate_saves(N):
 @pytest.mark.parametrize("n_reps", [1, 2])
 def test_run_pooling_warns_that_one_replicate_has_no_spread(n_reps):
     plan = pooling.PoolingPlan(N=60, k_range=(2, 6), n_reps=n_reps)
-    tables, _, _, warnings = report.run_pooling(plan, 1)
+    tables, _, _, warnings = plan.run(1)
     sds = tables["pooling_candidates.csv"]["simulated_sd"]
     assert (max(sds) == 0.0) == (n_reps == 1)
     assert len(warnings) == (n_reps == 1)
@@ -212,7 +212,7 @@ def test_run_gof_warns_when_the_window_misses_the_reference(bins):
     # the regularised incomplete gamma gives that mass exactly.  The warning
     # depends on bins alone; at two counts per cell no other warning fires
     plan = gof.GofPlan(bins=bins, sample_sizes=(2 * bins,), n_reps=20)
-    _, _, _, warnings = report.run_gof(plan, 1)
+    _, _, _, warnings = plan.run(1)
     mass = scipy.special.gammainc((bins - 1) / 2, gof.EDGES[-1] / 2)
     assert len(warnings) == (mass < 0.95)
     assert all(f"{mass:.1%}" in w and "--bins" in w for w in warnings)
@@ -227,7 +227,7 @@ def test_run_gof_warns_when_a_size_gives_one_count_per_cell(bins, sizes, warns):
     # GofPlan admits; --bins 8 --sizes 8 reads shape_distance 0.390.  The
     # default and golden plans stay silent
     plan = gof.GofPlan(bins=bins, sample_sizes=sizes, n_reps=20)
-    _, _, _, warnings = report.run_gof(plan, 1)
+    _, _, _, warnings = plan.run(1)
     assert len(warnings) == warns
     assert all(f"--sizes {bins} equals --bins {bins}" in w for w in warnings)
 
@@ -235,8 +235,7 @@ def test_run_gof_warns_when_a_size_gives_one_count_per_cell(bins, sizes, warns):
 def test_run_pooling_summary_reads_the_tables_savings_ratio():
     # one formula for the savings ratio: the summary's value at the best k is
     # the table's cell, bit for bit
-    tables, _, summary, _ = report.run_pooling(pooling.PoolingPlan(),
-                                               DEFAULT_SEED)
+    tables, _, summary, _ = pooling.PoolingPlan().run(DEFAULT_SEED)
     candidates = tables["pooling_candidates.csv"]
     best = candidates["k"].index(summary["best_integer_k"])
     assert summary["savings_ratio_at_best_k"] == (
@@ -250,8 +249,7 @@ def test_run_pooling_summary_reads_the_tables_savings_ratio():
 def test_run_mh_warns_when_the_acceptance_rate_is_extreme(sd, warns):
     # at the default chain length: near 1, tiny steps are nearly all taken;
     # near 0, long steps are nearly all refused
-    _, _, summary, warnings = report.run_mh(mh.MhConfig(proposal_sd=sd),
-                                            DEFAULT_SEED)
+    _, _, summary, warnings = mh.MhConfig(proposal_sd=sd).run(DEFAULT_SEED)
     rate = summary["acceptance_rate"]
     assert (not 0.05 <= rate <= 0.95) == warns
     assert len(warnings) == warns
