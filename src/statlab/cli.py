@@ -12,7 +12,7 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 from . import DEFAULT_SEED, estimators, gof, mh, pooling
 from .report import RunConfig, run_and_report
@@ -74,6 +74,14 @@ PLAN_FIELDS = {"reps": "n_reps", "samples": "n_samples", "sizes": "sample_sizes"
                "sigma": "true_sd"}
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+# Each option's flag, keyed by the plan field it sets.
+_FIELD_FLAGS = {PLAN_FIELDS.get(key, key): _flag(key) for key in OPTIONS}
+
+
 def make_plan(name: str, values: dict):
     """The plan of study ``name`` from the values whose key, renamed through
     ``PLAN_FIELDS``, names one of its fields; what is not given takes the
@@ -84,16 +92,6 @@ def make_plan(name: str, values: dict):
     fields = {f.name for f in dataclasses.fields(plan)}
     renamed = {PLAN_FIELDS.get(key, key): value for key, value in values.items()}
     return plan(**{f: v for f, v in renamed.items() if f in fields})
-
-
-def _flag(key: str) -> str:
-    return "--" + key.replace("_", "-")
-
-
-def _field_flag(match: re.Match) -> str:
-    """The flag that sets a plan field, or the field when no option does."""
-    key = {f: k for k, f in PLAN_FIELDS.items()}.get(match[0], match[0])
-    return _flag(key) if key in OPTIONS else match[0]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,10 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
                 how = ({"type": option.parse} if option.parse
                        else {"action": "store_true", "default": None})
                 p.add_argument(_flag(key), help=option.help, **how)
+        # a value the parser accepts but a plan or config file rejects is
+        # still this subcommand's usage error
+        p.set_defaults(usage_error=p.error)
     return parser
 
 
-def _read_config(parser: argparse.ArgumentParser, path: Path) -> dict:
+def _read_config(usage_error: Callable[[str], NoReturn], path: Path) -> dict:
     """The config file's values as their flags give them; a file that cannot
     be read, text that is not JSON (or holds an integer too long to parse), an
     unknown key, a value not of its key's JSON type (a bool is no number), or
@@ -127,31 +128,31 @@ def _read_config(parser: argparse.ArgumentParser, path: Path) -> dict:
     try:
         values = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
-        parser.error(f"{where}: {exc}")
+        usage_error(f"{where}: {exc}")
     if not isinstance(values, dict):
-        parser.error(f"{where} must hold a JSON object")
+        usage_error(f"{where} must hold a JSON object")
     for key, value in values.items():
         if key not in OPTIONS:
-            parser.error(f"{where}: unknown key {key!r}")
+            usage_error(f"{where}: unknown key {key!r}")
         kind = OPTIONS[key].json_type
         item, items = (int, value) if kind is list else (kind, [value])
         if not (type(items) is list and items and all(
                 type(v) is item or item is float and type(v) is int for v in items)):
-            parser.error(f"{where}: {key!r} must be "
-                         f"{_JSON_TYPE_NAMES[kind]}, got {value!r}")
+            usage_error(f"{where}: {key!r} must be "
+                        f"{_JSON_TYPE_NAMES[kind]}, got {value!r}")
         try:
             values[key] = tuple(value) if kind is list else kind(value)
         except OverflowError:
-            parser.error(f"{where}: {key!r} is out of range for a number")
+            usage_error(f"{where}: {key!r} is out of range for a number")
     return values
 
 
 def parse_config(argv: list[str] | None) -> RunConfig:
     """Parse argv into a RunConfig holding the plan of each study it runs, in
     run order; a value a study cannot take is a usage error naming its flag."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    file_values = {} if args.config is None else _read_config(parser, args.config)
+    args = build_parser().parse_args(argv)
+    file_values = ({} if args.config is None
+                   else _read_config(args.usage_error, args.config))
     values = {key: value for key, value in file_values.items()
               if args.subcommand in OPTIONS[key].subcommands}
     values.update((key, value) for key, value in vars(args).items()
@@ -163,9 +164,10 @@ def parse_config(argv: list[str] | None) -> RunConfig:
         except ValueError as exc:
             # plan messages start with the field they reject and name any
             # other field they involve as "field = value"
-            message = re.sub(r"^\w+|\b\w+(?= = )", _field_flag, str(exc))
-            parser.error(f"{name}: {message}" if args.subcommand == "all"
-                         else message)
+            message = re.sub(r"^\w+|\b\w+(?= = )",
+                             lambda m: _FIELD_FLAGS.get(m[0], m[0]), str(exc))
+            args.usage_error(f"{name}: {message}" if args.subcommand == "all"
+                             else message)
     return RunConfig(
         plans=plans,
         root_seed=values.get("seed", DEFAULT_SEED),

@@ -79,8 +79,6 @@ class EstimatorStudyPlan:
             ylabel="estimate of sigma", reference=self.true_sd)}
 
         summary = {
-            "true_sd": self.true_sd,
-            "n_reps": self.n_reps,
             "iqr_of_distribution": {
                 f"{name}_n{n}": s.iqr for (name, n), s in zip(keys, stats)
             },

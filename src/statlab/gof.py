@@ -79,9 +79,7 @@ class GofPlan:
                 "statistic")
 
         summary = {
-            "bins": self.bins,
             "df": df,
-            "n_reps": self.n_reps,
             "mean_statistic": {n: float(v.mean()) for n, v in statistics.items()},
             "shape_distance": distances,
         }

@@ -107,9 +107,6 @@ class MhConfig:
 
         summary = {
             "normalizing_constant": normalizing_constant(),
-            "proposal_sd": self.proposal_sd,
-            "burn_in": self.burn_in,
-            "n_samples": self.n_samples,
             "acceptance_rate": result.acceptance_rate,
             "sample_mean": result.mean,
             "sample_variance": result.variance,

@@ -98,9 +98,6 @@ class PoolingPlan:
             xlabel="pool size k", ylabel="expected number of tests")}
 
         summary = {
-            "p": p,
-            "N": N,
-            "n_reps": n_reps,
             "best_integer_k": best_k,
             "best_integer_expected_tests": best_cost,
             "pooling_helps": helps,

@@ -3,7 +3,8 @@
 Each study plan's ``run(root_seed)`` computes and returns tables (file name ->
 columns), figures (file name -> a call that draws its SVG text), a summary and
 warnings; ``run_and_report`` alone writes them, and draws the figures only
-when the run asks for them.  Rerunning with the same configuration produces
+when the run asks for them.  Each written summary also holds every field of
+the plan that made it.  Rerunning with the same configuration produces
 byte-identical tables.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import platform
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -32,7 +33,7 @@ ENVIRONMENT = {"python": platform.python_version(), "numpy": np.__version__,
 class RunConfig:
     plans: dict  # study name -> its plan, in the order the studies run
     root_seed: int
-    output_dir: Path = Path("statlab_out")
+    output_dir: Path
     emit_figures: bool = False
 
 
@@ -97,7 +98,7 @@ def run_and_report(config: RunConfig) -> list[dict]:
             "tables": list(tables),
             "figures": list(svgs),
             "warnings": warnings,
-            "summary": summary,
+            "summary": {**asdict(plan), **summary},
         }
         try:
             text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)

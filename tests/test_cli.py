@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import platform
@@ -210,6 +211,26 @@ class TestParseConfig:
         assert capsys.readouterr().err.endswith(
             f"error: estimator: --reps must lie in [2, {MAX_REPS}], got 1\n")
 
+    @pytest.mark.parametrize("parsed, rejected", [
+        (["pooling", "--p", "x"], ["pooling", "--p", "2"]),
+        (["pooling", "--p", "x"], ["pooling", "--config", "missing.json"]),
+        (["all", "--reps", "x"], ["all", "--reps", "1"]),
+    ])
+    def test_usage_errors_show_the_subcommands_usage(self, parsed, rejected,
+                                                     tmp_path, monkeypatch,
+                                                     capsys):
+        # a value argparse rejects, and one a plan or config file rejects,
+        # print the same usage line and "statlab <sub>: error:" prefix
+        monkeypatch.chdir(tmp_path)
+        heads = []
+        for argv in (parsed, rejected):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            heads.append(err[:err.index("error: ")])
+        assert heads[0] == heads[1]
+        assert heads[0].startswith(f"usage: statlab {parsed[0]} ")
+        assert heads[0].endswith(f"\nstatlab {parsed[0]}: ")
+
     @pytest.mark.parametrize("argv, flag", [
         (["gof", "--reps", str(MAX_REPS)], "--reps"),
         (["estimator", "--reps", str(MAX_REPS)], "--reps"),
@@ -325,6 +346,17 @@ def test_make_plan_renames_keys_and_keeps_plan_defaults():
                                 "seed": 3, "out": "x", "figures": True,
                                 "workers": 2}) == (
         MhConfig(n_samples=5, burn_in=1))
+
+
+@pytest.mark.parametrize("name", cli._STUDIES)
+def test_options_and_plan_fields_name_the_same_studies(name):
+    # parse_config keeps a config file's values by OPTIONS[key].subcommands,
+    # make_plan by the plan's fields: the two must agree on every study option
+    fields = {f.name for f in dataclasses.fields(cli._STUDIES[name][0])}
+    for key, option in OPTIONS.items():
+        if key not in ("seed", "out", "figures", "workers"):
+            assert (name in option.subcommands) == (
+                cli.PLAN_FIELDS.get(key, key) in fields), key
 
 
 # Each option's upper bound, where it has one; a float bound's "bound + 1"
@@ -501,6 +533,26 @@ class TestRunAndReport:
         for name in ("pooling", "mh", "estimator", "gof"):
             doc = json.loads((tmp_path / f"{name}_summary.json").read_text())
             assert doc["environment"] == environment
+
+    @pytest.mark.parametrize("argv", [
+        ["pooling"], ["mh"], ["estimator"], ["gof"],
+        ["pooling", "--k-range", "3:6"],
+        ["mh", "--proposal-sd", "0.5", "--burn-in", "500"],
+        ["estimator", "--sizes", "50,200", "--sigma", "2"],
+        ["gof", "--sizes", "24,48"],
+        ["all", "--reps", "50"],
+    ])
+    def test_summary_echoes_every_plan_field(self, argv, tmp_path):
+        # each summary records the plan it ran: every field, with its value
+        config = parse_config([*argv, "--out", str(tmp_path)])
+        run_and_report(config)
+        for name, plan in config.plans.items():
+            doc = json.loads((tmp_path / f"{name}_summary.json").read_text())
+            for field in dataclasses.fields(plan):
+                value = getattr(plan, field.name)
+                assert doc["summary"][field.name] == (
+                    list(value) if isinstance(value, tuple) else value), (
+                    name, field.name)
 
     def test_all_writes_what_each_study_writes_alone(self, tmp_path):
         # the studies, run one at a time in reverse order, write the same
