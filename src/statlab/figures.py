@@ -18,15 +18,16 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """Ticks on [lo, hi] at the smallest round step that crosses the span in
+    at most six steps."""
     span = hi - lo
     if span <= 0:
         return [lo]
-    raw = span / target
-    mag = 10 ** math.floor(math.log10(raw))
+    mag = 10 ** math.floor(math.log10(span / 6))
     for mult in (1, 2, 2.5, 5, 10):
         step = mult * mag
-        if span / step <= target:
+        if span / step <= 6:
             break
     first = math.ceil(lo / step) * step
     ticks = []
@@ -134,11 +135,10 @@ def line_chart(line, title="", xlabel="", ylabel="") -> str:
     return _document(frame, body, {"type": "line", "series": [series]})
 
 
-def histogram_chart(edges, densities, overlay, title="", xlabel="",
-                    ylabel="density") -> str:
+def histogram_chart(edges, densities, overlay, title="", xlabel="") -> str:
     """Bars from bin edges/densities, with a (label, xs, ys) overlay line."""
     frame = _Frame(edges[0], edges[-1], 0.0, max(max(densities), max(overlay[2])),
-                   title, xlabel, ylabel)
+                   title, xlabel, "density")
     body = []
     for j, d in enumerate(densities):
         x0, x1 = frame.px(edges[j]), frame.px(edges[j + 1])

@@ -56,6 +56,11 @@ class GofPlan:
                 f"--sizes {self.bins} equals --bins {self.bins}: one expected "
                 f"count per cell, too few for the chi-square reference, so its "
                 f"shape_distance is large; use sizes of at least twice --bins")
+        if self.n_reps == 1:
+            warnings.append(
+                "--reps 1 gives one statistic per size: its histogram cannot "
+                "show the chi-square shape, so shape_distance reads large; use "
+                "--reps 2 or more")
         # one reference for every size; the distances are shape_distance's
         ref_avg = binned_chisq_density(df, EDGES)
         mass = ref_avg.sum() * (EDGES[1] - EDGES[0])

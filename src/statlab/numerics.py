@@ -113,47 +113,27 @@ def integrate_interval(
     return QuadratureResult(value=value, abs_error=err, evaluations=count[0])
 
 
-def _integrate_half_line(g, tol, budget):
-    # y = t/(1-t) maps [0, 1) onto [0, inf); dy = dt/(1-t)^2
+def integrate_real_line(
+    g: Callable[[float], float],
+    tol: float = DEFAULT_QUAD_TOL,
+    budget: int = DEFAULT_EVAL_BUDGET,
+) -> QuadratureResult:
+    """Integrate an even g over (-inf, inf) as twice its half-line integral.
+
+    The half line [0, inf) is mapped onto [0, 1) by y = t/(1-t), with
+    dy = dt/(1-t)^2, and the transformed integrand is handled by adaptive
+    Simpson refinement.
+    """
     def transformed(t):
         if t >= 1.0:
             return 0.0
         onemt = 1.0 - t
-        val = g(t / onemt)
-        return val / (onemt * onemt)
+        return g(t / onemt) / (onemt * onemt)
 
-    return integrate_interval(transformed, 0.0, 1.0, tol=tol, budget=budget)
-
-
-def integrate_real_line(
-    g: Callable[[float], float],
-    tol: float = DEFAULT_QUAD_TOL,
-    even: bool = False,
-    budget: int = DEFAULT_EVAL_BUDGET,
-) -> QuadratureResult:
-    """Integrate g over (-inf, inf) via a variable transformation.
-
-    The half line [0, inf) is mapped onto [0, 1) by y = t/(1-t) and the
-    transformed integrand is handled by adaptive Simpson refinement.  When
-    the caller declares g even, only the positive half line is integrated
-    and the result doubled.
-    """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if even:
-        half = _integrate_half_line(g, tol, budget)
-        return QuadratureResult(
-            value=2.0 * half.value,
-            abs_error=2.0 * half.abs_error,
-            evaluations=half.evaluations,
-        )
-    pos = _integrate_half_line(g, tol, budget)
-    neg = _integrate_half_line(lambda y: g(-y), tol, budget)
-    return QuadratureResult(
-        value=pos.value + neg.value,
-        abs_error=pos.abs_error + neg.abs_error,
-        evaluations=pos.evaluations + neg.evaluations,
-    )
+    half = integrate_interval(transformed, 0.0, 1.0, tol=tol, budget=budget)
+    return QuadratureResult(value=2.0 * half.value,
+                            abs_error=2.0 * half.abs_error,
+                            evaluations=half.evaluations)
 
 
 def minimize_scalar(
@@ -266,22 +246,19 @@ def bin_integrals(f: Callable[[float], float], edges: np.ndarray) -> np.ndarray:
                      for a, b in zip(edges[:-1], edges[1:])])
 
 
-def quantile_type7(
-    sample: Sequence[float], p: float | tuple[float, ...]
-) -> float | np.ndarray | tuple:
-    """Order-statistic quantile with linear interpolation at h = (n-1)p + 1.
+def quantile_type7(sample: Sequence[float], probs: tuple[float, ...]) -> tuple:
+    """Order-statistic quantiles with linear interpolation at h = (n-1)p + 1,
+    one per probability in ``probs``, from one sort of the sample.
 
     Observations run along the last axis: a ``(reps, n)`` array gives one
     quantile per row, each equal to the 1-D call on that row bit for bit.
-    Given a tuple of probabilities, it sorts the sample once and returns a
-    tuple of quantiles, each equal to its one-probability call bit for bit.
     """
     x = np.sort(np.asarray(sample, dtype=float), axis=-1)
     n = x.shape[-1]
     if n == 0:
         raise ValueError("sample must be non-empty")
     qs = []
-    for prob in p if isinstance(p, tuple) else (p,):
+    for prob in probs:
         if not 0.0 <= prob <= 1.0:
             raise ValueError("p must lie in [0, 1]")
         if n == 1:
@@ -291,7 +268,7 @@ def quantile_type7(
             i = min(int(math.floor(h)), n - 2)
             q = x[..., i] + (h - i) * (x[..., i + 1] - x[..., i])
         qs.append(float(q) if x.ndim == 1 else q)
-    return tuple(qs) if isinstance(p, tuple) else qs[0]
+    return tuple(qs)
 
 
 def summarize(sample: Sequence[float]) -> SummaryStats:

@@ -113,7 +113,6 @@ class PoolingPlan:
 @dataclass(frozen=True)
 class ContinuousOptimum:
     k: float | None  # None when pooling cannot beat individual testing
-    expected_tests_per_person: float
     at_boundary: bool
 
 
@@ -168,19 +167,17 @@ def optimal_pool_size_continuous(p: float) -> ContinuousOptimum:
 
     The population size cancels, so the objective is c(k) = 1/k + 1 - (1-p)^k,
     which is unimodal on the search bracket [1.5, 1/p] while pooling helps.
-    Where it cannot, there is no pool size: ``k`` is None, the cost is one
-    test per person and ``at_boundary`` is set, as it is if the search ends on
-    the bracket's edge.
+    Where it cannot, there is no pool size: ``k`` is None and ``at_boundary``
+    is set, as it is if the search ends on the bracket's edge.  The cost at
+    ``k`` is ``expected_tests_per_person(k, p)``.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("prevalence must lie strictly in (0, 1)")
     if not pooling_helps(p):
-        return ContinuousOptimum(k=None, expected_tests_per_person=1.0,
-                                 at_boundary=True)
+        return ContinuousOptimum(k=None, at_boundary=True)
     lo, hi, tol = 1.5, 1.0 / p, 1e-6
-    k, cost = minimize_scalar(lambda k: expected_tests_per_person(k, p), lo, hi, tol=tol)
-    edge = min(k - lo, hi - k) <= tol
-    return ContinuousOptimum(k=k, expected_tests_per_person=cost, at_boundary=edge)
+    k, _ = minimize_scalar(lambda k: expected_tests_per_person(k, p), lo, hi, tol=tol)
+    return ContinuousOptimum(k=k, at_boundary=min(k - lo, hi - k) <= tol)
 
 
 def optimality_residual(k: float, p: float) -> float:

@@ -86,7 +86,7 @@ def test_criterion_04_simulation_agreement():
 
 def test_criterion_05_normalizing_constant():
     t0 = time.perf_counter()
-    res = integrate_real_line(mh.unnormalized, tol=1e-10, even=True)
+    res = integrate_real_line(mh.unnormalized, tol=1e-10)
     elapsed = time.perf_counter() - t0
     ok = abs(res.value - 6.809611) <= 1e-5 and elapsed < 0.1
     _report(

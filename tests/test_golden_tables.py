@@ -1,11 +1,13 @@
-"""Golden SHA-256 digests of the tables and SVG figures the CLI writes.
+"""Golden SHA-256 digests of the tables and SVG figures the CLI writes, and
+the exact summary numbers of each study's default run.
 
 A change that claims to alter no numbers proves it here: every digest below
 was recorded from the CLI before the code it pins was last rewritten, and must
-still match byte for byte.  Every run writes its figures too.
+still match byte for byte.  Every digest run writes its figures too.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -156,6 +158,56 @@ MH_DENSITY_SVG = {
 }
 
 
+# The summary block of each study's summary JSON at its default settings.  The
+# tables carry these numbers to 10 digits; here they must match bit for bit.
+DEFAULT_SUMMARIES = {
+    "pooling": {
+        "N": 5000,
+        "best_integer_expected_tests": 2131.0953125,
+        "best_integer_k": 5,
+        "bisection_cross_check_k": 5.022385470569134,
+        "continuous_optimum_at_boundary": False,
+        "continuous_optimum_k": 5.022385051036843,
+        "k_range": [2, 10],
+        "n_reps": 1000,
+        "p": 0.05,
+        "pooling_helps": True,
+        "pooling_helps_integer": True,
+        "savings_ratio_at_best_k": 2.346211345251598,
+    },
+    "mh": {
+        "acceptance_rate": 0.55231,
+        "burn_in": 100000,
+        "density_distance": 0.015186424808178112,
+        "n_samples": 100000,
+        "normalizing_constant": 0.14685127119275276,
+        "proposal_sd": 1.0,
+        "sample_mean": -0.001027524424315297,
+        "sample_variance": 0.5751136544192444,
+        "target_variance_quadrature": 0.5749852162738539,
+    },
+    "gof": {
+        "bins": 8,
+        "df": 7,
+        "mean_statistic": {"16": 6.9569, "64": 6.98395},
+        "n_reps": 10000,
+        "sample_sizes": [16, 64],
+        "shape_distance": {"16": 0.15394768602908, "64": 0.012313328285914568},
+    },
+    "estimator": {
+        "iqr_of_distribution": {
+            "iqr_n100": 0.5044156899520562,
+            "iqr_n400": 0.26839886964665327,
+            "s_n100": 0.3023897457200104,
+            "s_n400": 0.1485791546457853,
+        },
+        "n_reps": 1000,
+        "sample_sizes": [100, 400],
+        "true_sd": 3.141592653589793,
+    },
+}
+
+
 def _digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -188,3 +240,10 @@ def test_pooling_tables(flags, tables, tmp_path):
 @pytest.mark.parametrize("flags, tables", GOF_RUNS)
 def test_gof_tables(flags, tables, tmp_path):
     _check_tables(["gof", *flags], tables, tmp_path)
+
+
+@pytest.mark.parametrize("subcommand", sorted(DEFAULT_SUMMARIES))
+def test_default_summaries(subcommand, tmp_path):
+    assert main([subcommand, "--out", str(tmp_path)]) == 0
+    written = json.loads((tmp_path / f"{subcommand}_summary.json").read_text())
+    assert written["summary"] == DEFAULT_SUMMARIES[subcommand]

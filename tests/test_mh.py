@@ -58,7 +58,7 @@ class TestNormalization:
     def test_density_integrates_to_one(self):
         from statlab.numerics import integrate_real_line
 
-        total = integrate_real_line(mh.pdf, tol=1e-10, even=True)
+        total = integrate_real_line(mh.pdf, tol=1e-10)
         assert total.value == pytest.approx(1.0, abs=1e-8)
 
     def test_close_to_rounded_value(self):

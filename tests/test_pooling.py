@@ -112,12 +112,11 @@ class TestContinuousOptimum:
                 assert pooling_helps(p)
                 assert abs(opt.k - root) < 1e-4
                 assert not opt.at_boundary
-                assert opt.expected_tests_per_person < 1.0
+                assert expected_tests_per_person(opt.k, p) < 1.0
             else:
                 assert not pooling_helps(p)
                 assert opt.k is None and root is None
                 assert opt.at_boundary
-                assert opt.expected_tests_per_person == 1.0
                 assert np.all(expected_tests_per_person(ks, p) >= 1.0)
 
     def test_integer_threshold_matches_brute_force(self):

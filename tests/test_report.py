@@ -206,6 +206,17 @@ def test_run_pooling_warns_that_one_replicate_has_no_spread(n_reps):
     assert all("--reps 1" in w for w in warnings)
 
 
+@pytest.mark.parametrize("n_reps", [1, 2])
+def test_run_gof_warns_that_one_replicate_has_no_shape(n_reps):
+    # one statistic per size reads shape_distance 1.886 (n=16) and 1.881
+    # (n=64) at the default seed, two read 0.886 and 0.900, and the default
+    # 10 000 read 0.154 and 0.012
+    _, _, summary, warnings = gof.GofPlan(n_reps=n_reps).run(DEFAULT_SEED)
+    assert (min(summary["shape_distance"].values()) > 1.0) == (n_reps == 1)
+    assert len(warnings) == (n_reps == 1)
+    assert all("--reps 1" in w and "--reps 2 or more" in w for w in warnings)
+
+
 @pytest.mark.parametrize("bins", [2, 4, 8, 12, 13, 32])
 def test_run_gof_warns_when_the_window_misses_the_reference(bins):
     # [0, 20] holds at least 95 % of chi-square's mass up to df = 11 only;
