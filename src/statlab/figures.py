@@ -126,7 +126,7 @@ def _line(frame: _Frame, line, color: str, width: str) -> tuple[list[str], dict]
                  "y": list(map(float, ys))}
 
 
-def line_chart(line, title="", xlabel="", ylabel="") -> str:
+def line_chart(line, title, xlabel, ylabel) -> str:
     """line: (label, xs, ys) drawn as a polyline."""
     _, xs, ys = line
     frame = _Frame(min(xs), max(xs), min(0.0, min(ys)), max(ys),
@@ -135,7 +135,7 @@ def line_chart(line, title="", xlabel="", ylabel="") -> str:
     return _document(frame, body, {"type": "line", "series": [series]})
 
 
-def histogram_chart(edges, densities, overlay, title="", xlabel="") -> str:
+def histogram_chart(edges, densities, overlay, title, xlabel) -> str:
     """Bars from bin edges/densities, with a (label, xs, ys) overlay line."""
     frame = _Frame(edges[0], edges[-1], 0.0, max(max(densities), max(overlay[2])),
                    title, xlabel, "density")
@@ -159,7 +159,7 @@ def histogram_chart(edges, densities, overlay, title="", xlabel="") -> str:
     return _document(frame, body + line, data)
 
 
-def box_chart(groups, reference, title="", ylabel="") -> str:
+def box_chart(groups, reference, title, ylabel) -> str:
     """groups: list of (label, {lo, q1, median, q3, hi}) box summaries, with
     a horizontal dashed line at y = ``reference``."""
     ylo = min(min(g[1]["lo"] for g in groups), reference)

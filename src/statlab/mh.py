@@ -135,9 +135,9 @@ class ChainResult:
 
 
 # Steps drawn at once.  A chunk's uniforms (64 KB), its flat float64 buffers
-# of steps, log-uniforms and kept states (32 KB each) and the arrays behind
-# them come to about 0.34 MB (tracemalloc's peak), which bounds the chain's
-# working set whatever its length.
+# of steps, log-uniforms and kept states (32 KB each), the arrays behind them
+# and the chunk's histogram come to about 0.31 MB (tracemalloc's peak in
+# run_chain), which bounds the chain's working set whatever its length.
 _CHUNK_STEPS = 1 << 12
 
 
@@ -151,9 +151,11 @@ def iter_chain(config: MhConfig, root_seed: int) -> Iterator[tuple[np.ndarray, i
     proposal normal's and then an acceptance uniform, and moves to the
     proposal when the uniform's log is below the log density ratio.  The
     step rule is written out here alone, in a loop for burn-in and one for
-    kept steps over a chunk's draws copied into flat ``array.array("d")``
-    buffers; they call no Python function per step.  A chunk's kept states
-    are appended to such a buffer too and yielded as a float64 view of it.
+    kept steps over a chunk's draws, which are drawn into one uniforms array
+    and written into two flat ``array.array("d")`` buffers of steps and
+    log-uniforms, all three allocated once per chain; the loops call no
+    Python function per step.  A chunk's kept states are appended to such a
+    buffer too and yielded as a float64 view of it.
     """
     draws = np.random.Generator(stream(root_seed, EXPERIMENT_ID, 0))
     sd = config.proposal_sd
@@ -162,11 +164,15 @@ def iter_chain(config: MhConfig, root_seed: int) -> Iterator[tuple[np.ndarray, i
     x = INITIAL_X
     log_gx = log_unnormalized(x)
     log1p = math.log1p
+    us = np.empty(2 * _CHUNK_STEPS)
+    dz, log_u = array("d", [0.0]) * _CHUNK_STEPS, array("d", [0.0]) * _CHUNK_STEPS
+    dz_view, log_u_view = np.frombuffer(dz), np.frombuffer(log_u)
     for start in range(0, total, _CHUNK_STEPS):
         m = min(_CHUNK_STEPS, total - start)
-        us = draws.random(2 * m)
-        dz = array("d", normals_from_uniforms(us[0::2], sd=sd).tobytes())
-        log_u = array("d", np.log(np.maximum(us[1::2], 1e-300)).tobytes())
+        u = draws.random(out=us[:2 * m])
+        dz_view[:m] = normals_from_uniforms(u[0::2], sd=sd)
+        clamped = np.maximum(u[1::2], 1e-300, out=log_u_view[:m])
+        np.log(clamped, out=clamped)
         split = min(max(burn_in - start, 0), m)
         for d, lu in zip(dz[:split], log_u[:split]):
             y = x + d
@@ -175,7 +181,7 @@ def iter_chain(config: MhConfig, root_seed: int) -> Iterator[tuple[np.ndarray, i
                 x, log_gx = y, log_gy
         kept, accepted = array("d"), 0
         keep = kept.append
-        for d, lu in zip(dz[split:], log_u[split:]):
+        for d, lu in zip(dz[split:m], log_u[split:m]):
             y = x + d
             log_gy = 3.0 * log1p(abs(y)) - y**4
             if lu < log_gy - log_gx:

@@ -141,11 +141,11 @@ def minimize_scalar(
     lo: float,
     hi: float,
     tol: float = DEFAULT_OPT_TOL,
-) -> tuple[float, float]:
+) -> float:
     """Golden-section minimization of a unimodal f on [lo, hi].
 
     Unimodality is the caller's responsibility; for non-unimodal f the
-    result is some local minimizer.  Returns (argmin, f(argmin)).
+    result is some local minimizer.  Returns the argmin.
     """
     if lo >= hi:
         raise ValueError("need lo < hi")
@@ -162,8 +162,7 @@ def minimize_scalar(
             a, c, fcv = c, d, fdv
             d = a + _INVPHI * (b - a)
             fdv = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+    return 0.5 * (a + b)
 
 
 def solve_root(
@@ -194,23 +193,31 @@ def solve_root(
     return 0.5 * (lo + hi)
 
 
-# Samples binned per np.histogram call; its own blocks then stay this small.
+# Samples binned at once: a slice's bin indices (64 KiB) bound what a long
+# sample adds beyond itself.
 _HISTOGRAM_SLICE = 1 << 13
 
 
 def histogram_counts(samples: Sequence[float], edges: np.ndarray) -> np.ndarray:
-    """int64 counts of the samples on ``np.histogram``'s bins over equally
-    spaced ``edges``; samples outside [edges[0], edges[-1]] are not counted.
-    The counts are summed over slices of ``_HISTOGRAM_SLICE`` samples, which
-    bin each sample as one whole-array call would, so a long sample adds no
-    temporaries of its own length.
+    """int64 counts of the samples on the bins of increasing ``edges``.
+
+    Bin i holds ``edges[i] <= x < edges[i+1]`` and the last bin also holds
+    ``x == edges[-1]``; samples outside [edges[0], edges[-1]], NaN among
+    them, are not counted.  Each slice of ``_HISTOGRAM_SLICE`` samples is
+    binned by ``np.searchsorted`` on the edges and counted by
+    ``np.bincount``, whose indices 0 and ``bins + 1`` catch the samples
+    below and above the window, so a long sample adds no temporaries of its
+    own length.
     """
     x = np.asarray(samples, dtype=float)
-    bins, span = len(edges) - 1, (edges[0], edges[-1])
-    counts = np.zeros(bins, dtype=np.int64)
+    bins = len(edges) - 1
+    counts = np.zeros(bins + 2, dtype=np.int64)
     for start in range(0, x.size, _HISTOGRAM_SLICE):
-        counts += np.histogram(x[start:start + _HISTOGRAM_SLICE], bins, span)[0]
-    return counts
+        part = x[start:start + _HISTOGRAM_SLICE]
+        counts += np.bincount(np.searchsorted(edges, part, "right"),
+                              minlength=bins + 2)
+        counts[bins] += np.count_nonzero(part == edges[-1])
+    return counts[1:bins + 1]
 
 
 def density_vs_reference(counts: np.ndarray, n: int, edges: np.ndarray,

@@ -176,7 +176,7 @@ def optimal_pool_size_continuous(p: float) -> ContinuousOptimum:
     if not pooling_helps(p):
         return ContinuousOptimum(k=None, at_boundary=True)
     lo, hi, tol = 1.5, 1.0 / p, 1e-6
-    k, _ = minimize_scalar(lambda k: expected_tests_per_person(k, p), lo, hi, tol=tol)
+    k = minimize_scalar(lambda k: expected_tests_per_person(k, p), lo, hi, tol=tol)
     return ContinuousOptimum(k=k, at_boundary=min(k - lo, hi - k) <= tol)
 
 

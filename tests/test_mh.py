@@ -218,8 +218,9 @@ class TestRunChain:
 
     def test_peak_memory_is_one_chunk(self):
         # the chain holds one chunk's draws and flat buffers of steps,
-        # log-uniforms and kept states, about 340 KiB (lists of boxed floats
-        # took about 640 KiB); its 200 000 states would take 1.6 MB
+        # log-uniforms and kept states, with the chunk's histogram about
+        # 300 KiB (lists of boxed floats took about 640 KiB); its 200 000
+        # states would take 1.6 MB
         config = MhConfig(burn_in=10_000, n_samples=200_000)
         tracemalloc.start()
         try:
