@@ -11,6 +11,7 @@ from functools import partial
 from typing import Sequence
 
 import math
+import sys
 
 import numpy as np
 
@@ -19,6 +20,9 @@ from .numerics import quantile_type7, summarize
 
 # 2 * z_{0.75}: the population IQR of a normal is this many standard deviations
 IQR_TO_SIGMA = 1.3489795
+# The smallest sigma, the smallest normal float (2**-1022): below it the box
+# chart's y-span, which reaches sigma, underflows when split into ticks.
+MIN_TRUE_SD = sys.float_info.min
 # The largest sigma: squared deviations summed over a sample stay finite.
 MAX_TRUE_SD = 1e100
 # The mean of every simulated sample (the tables' last digits depend on it).
@@ -38,9 +42,9 @@ class EstimatorStudyPlan:
         if len(set(self.sample_sizes)) < len(self.sample_sizes):
             raise ValueError(f"sample_sizes must be distinct, got "
                              f"{self.sample_sizes}")
-        if not 0 < self.true_sd <= MAX_TRUE_SD:
-            raise ValueError(f"true_sd must lie in (0, {MAX_TRUE_SD:g}], got "
-                             f"{self.true_sd}")
+        if not MIN_TRUE_SD <= self.true_sd <= MAX_TRUE_SD:
+            raise ValueError(f"true_sd must lie in [2**-1022, {MAX_TRUE_SD:g}], "
+                             f"got {self.true_sd}")
         if not 2 <= self.n_reps <= simkit.MAX_REPS:
             raise ValueError(f"n_reps must lie in [2, {simkit.MAX_REPS}], got "
                              f"{self.n_reps}")

@@ -80,14 +80,11 @@ def run_and_report(config: RunConfig) -> list[dict]:
     docs = []
     for name, plan in config.plans.items():
         tables, figs, summary, warnings = plan.run(config.root_seed)
-        # every chart is drawn before the study's first file is written, so a
-        # chart that fails leaves nothing of the study on disk
+        # every chart is drawn and the summary serialised before the study's
+        # first file is written, so a chart or summary that fails leaves
+        # nothing of the study on disk
         svgs = ({fig: draw() for fig, draw in figs.items()}
                 if config.emit_figures else {})
-        for table, columns in tables.items():
-            write_table(out / table, columns)
-        for fig, svg in svgs.items():
-            (out / fig).write_text(svg)
         doc = {
             "tool": "statlab",
             "version": __version__,
@@ -104,6 +101,10 @@ def run_and_report(config: RunConfig) -> list[dict]:
             text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
         except ValueError as exc:  # a NaN or infinity, which JSON cannot hold
             raise ValueError(f"{name} summary: {exc}") from exc
+        for table, columns in tables.items():
+            write_table(out / table, columns)
+        for fig, svg in svgs.items():
+            (out / fig).write_text(svg)
         (out / f"{name}_summary.json").write_text(text + "\n")
         for w in warnings:
             print(f"warning: {w}", file=sys.stderr)

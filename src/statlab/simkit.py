@@ -167,9 +167,12 @@ def run_replicates_batched(
     in replicate order.  A task output with another first axis is a
     ValueError.
 
-    Blocks hold at most ``_BLOCK_VALUES`` words, no per-replicate generator
-    is built, and every block's or run's keys come from one hashed prefix
-    (``_block_keys``).  The width of a row picks one of three ways to draw:
+    One loop, ``run``, keys a span of rows from one hashed prefix
+    (``_block_keys``), then draws each block of it (at most ``_BLOCK_VALUES``
+    words), calls ``task`` and checks the output; no per-replicate generator
+    is built.  A serial span is one block; only a threaded span holds several.
+    The width of a row picks one of three ways to draw, and the spans run
+    serially for the first two, on two threads for the third:
 
     - Short rows, at most ``_SHORT_ROW_DRAWS`` draws, run serially, and each
       block is drawn whole by one array Philox4x64-10 (``_philox_words``), so
@@ -182,15 +185,14 @@ def run_replicates_batched(
       repays here.  On a 2-vCPU host, 10 000 rows with a trivial task took,
       array against re-keyed, 3.0 against 7.9 us per row at 16 draws, 5.5 us
       either way at 64, and 10.6 against 9.6 us at 100.
-    - A row alone larger than a block is a block of one row.  Such rows spend
-      most of their time drawing, which numpy does with the GIL released, so
-      two threads run them: each takes runs of ``_RUN_ROWS`` consecutive
-      replicates and draws every row of a run afresh, re-keyed as above, with
-      its own Philox, and hands back one output per run.  ``task`` must be
-      safe to call from both threads at once.  After an error, no run still
-      queued starts.
+    - A row alone larger than a block is a block of one row, drawn re-keyed
+      as above and not copied again.  Such rows spend most of their time
+      drawing, which numpy does with the GIL released, so two threads, each
+      with its own Philox, run spans of ``_RUN_ROWS`` consecutive rows.
+      ``task`` must be safe to call from both threads at once.  After an
+      error, no span still queued starts.
 
-    The output depends on neither the path, the block size, the run length
+    The output depends on neither the path, the block size, the span length
     nor the threads.
     """
     if n_reps < 1:
@@ -198,52 +200,50 @@ def run_replicates_batched(
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     size = max(1, _BLOCK_VALUES // n_draws)
+    span = size if size > 1 else _RUN_ROWS
     local = threading.local()
     failed = threading.Event()
 
-    def draw(lo: int, hi: int) -> np.ndarray:
-        """The first ``n_draws`` words of the stream keyed by words lo, hi."""
+    def draw(keys: np.ndarray) -> np.ndarray:
+        """The first ``n_draws`` words of the streams keyed by ``keys``."""
+        if n_draws <= _SHORT_ROW_DRAWS:
+            return _philox_words(keys, n_draws)
         if not hasattr(local, "philox"):  # a re-keyed Philox is single-owner
             local.philox = np.random.Philox(key=0)
             local.fresh = local.philox.state
-        local.fresh["state"]["key"] = (lo, hi)
-        local.philox.state = local.fresh
-        return local.philox.random_raw(n_draws)
+        rows = []
+        for key in keys.tolist():
+            local.fresh["state"]["key"] = key
+            local.philox.state = local.fresh
+            rows.append(local.philox.random_raw(n_draws))
+        return rows[0][None] if len(rows) == 1 else np.stack(rows)
 
-    def rows_of(out, rows: int) -> np.ndarray:
-        out = np.asarray(out, dtype=float)
-        if out.shape[:1] != (rows,):
-            raise ValueError(f"task output has shape {out.shape}, expected "
-                             f"{rows} rows")
-        return out
-
-    def run_block(start: int) -> np.ndarray:
-        rows = min(size, n_reps - start)
-        keys = _block_keys(root_seed, experiment_id, start, rows)
-        if n_draws <= _SHORT_ROW_DRAWS:
-            block = _philox_words(keys, n_draws)
-        else:
-            block = np.stack([draw(lo, hi) for lo, hi in keys.tolist()])
-        return rows_of(task(block), rows)
-
-    def run_rows(start: int) -> np.ndarray | None:
-        if failed.is_set():  # an earlier run failed; the caller never reads this
+    def run(start: int) -> np.ndarray | None:
+        if failed.is_set():  # an earlier span failed; the caller never reads this
             return None
-        rows = min(_RUN_ROWS, n_reps - start)
+        keys = _block_keys(root_seed, experiment_id, start,
+                           min(span, n_reps - start))
         try:
-            return np.concatenate([
-                rows_of(task(draw(lo, hi)[None]), 1) for lo, hi
-                in _block_keys(root_seed, experiment_id, start, rows).tolist()])
+            outs = []
+            for i in range(0, len(keys), size):
+                part = keys[i:i + size]  # no name keeps a block past its task
+                out = np.asarray(task(draw(part)), dtype=float)
+                if out.shape[:1] != (len(part),):
+                    raise ValueError(f"task output has shape {out.shape}, "
+                                     f"expected {len(part)} rows")
+                outs.append(out)
+            return np.concatenate(outs)
         except BaseException:
             failed.set()
             raise
 
+    starts = range(0, n_reps, span)
     if size > 1:
-        return np.concatenate(list(map(run_block, range(0, n_reps, size))))
+        return np.concatenate(list(map(run, starts)))
     pool = ThreadPoolExecutor(2)
     try:
-        parts = list(pool.map(run_rows, range(0, n_reps, _RUN_ROWS)))
+        parts = list(pool.map(run, starts))
     finally:
         failed.set()
-        pool.shutdown(cancel_futures=True)  # after an error, skip queued runs
+        pool.shutdown(cancel_futures=True)  # after an error, skip queued spans
     return np.concatenate(parts)

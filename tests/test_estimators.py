@@ -9,6 +9,7 @@ from statlab import simkit
 from statlab.estimators import (
     IQR_TO_SIGMA,
     MAX_TRUE_SD,
+    MIN_TRUE_SD,
     EstimatorStudyPlan,
     run_estimator_study,
     sigma_hat_iqr,
@@ -178,6 +179,8 @@ class TestStudy:
             EstimatorStudyPlan(n_reps=1)
         with pytest.raises(ValueError):
             EstimatorStudyPlan(true_sd=1.01 * MAX_TRUE_SD)
+        with pytest.raises(ValueError, match="^true_sd "):
+            EstimatorStudyPlan(true_sd=math.nextafter(MIN_TRUE_SD, 0))
 
     def test_sample_size_bound(self):
         # a sample is one replicate row; the bound itself is taken
@@ -190,3 +193,10 @@ class TestStudy:
         res = run_estimator_study(plan, root_seed=4)
         for vec in res.values():
             assert np.all(np.isfinite(vec))
+
+    def test_smallest_sigma_draws_its_chart(self):
+        # the box chart's y-span reaches sigma; below the smallest normal
+        # float, where the plan stops, it underflows when split into ticks
+        plan = EstimatorStudyPlan(true_sd=MIN_TRUE_SD, n_reps=20)
+        _, figs, _, _ = plan.run(root_seed=4)
+        assert ["</svg>" in draw() for draw in figs.values()] == [True]

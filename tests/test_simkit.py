@@ -174,17 +174,25 @@ def _blocks(n_reps, n_draws):
 
 
 class TestRunReplicatesBatched:
-    @pytest.mark.parametrize("n_draws", [1, 5, 16, 64, 100])
-    def test_rows_are_the_replicate_streams(self, n_draws, monkeypatch):
+    @pytest.mark.parametrize("n_draws, wide", [
+        *[pytest.param(n, False, id=str(n)) for n in (1, 5, 16, 64, 100)],
+        *[pytest.param(n, True, id=f"{n}-wide") for n in (SHORT + 1, 100)]])
+    def test_rows_are_the_replicate_streams(self, n_draws, wide, monkeypatch):
         # row i of the blocks is stream(seed, id, i).random_raw(n) bit for bit,
-        # on both sides of each block boundary; a change in numpy's Philox
-        # state layout breaks this instead of silently shifting every table
-        monkeypatch.setattr(simkit, "_BLOCK_VALUES", 320)
-        size = 320 // n_draws
+        # on both sides of each block boundary, and on both threads, in spans
+        # of 2 rows, when a row is wider than a block; a change in numpy's
+        # Philox state layout breaks this instead of silently shifting every table
+        monkeypatch.setattr(simkit, "_BLOCK_VALUES", n_draws - 1 if wide else 320)
+        monkeypatch.setattr(simkit, "_RUN_ROWS", 2)
+        size = 1 if wide else 320 // n_draws
         n_reps = 2 * size + 3
         seen = _blocks(n_reps, n_draws)
-        assert [len(b) for b in seen] == [size, size, 3]
-        _assert_stream_rows(np.concatenate(seen), 21, "blocks")
+        assert [len(b) for b in seen] == ([1] * 5 if wide else [size, size, 3])
+        # the threads may see their blocks in either order, so the rows are
+        # read back from the output, where float64 views keep every bit
+        rows = run_replicates_batched(
+            n_reps, "blocks", 21, n_draws, lambda block: block.view(float))
+        _assert_stream_rows(rows.view(np.uint64), 21, "blocks")
 
     def test_block_size_does_not_change_rows(self, monkeypatch):
         whole = _blocks(60, 16)
@@ -203,29 +211,31 @@ class TestRunReplicatesBatched:
     def test_one_row_blocks_on_two_threads(self, monkeypatch):
         # rows wider than a block run one per block on two threads, each with
         # its own generator; outputs still come back in replicate order
-        monkeypatch.setattr(simkit, "_BLOCK_VALUES", 8)
-        rows = run_replicates_batched(300, "wide", 4, 9, _columns)
+        monkeypatch.setattr(simkit, "_BLOCK_VALUES", SHORT)
+        rows = run_replicates_batched(300, "wide", 4, SHORT + 1, _columns)
         for i in range(300):
-            assert np.array_equal(rows[i], replicate_generator(4, "wide", i).random(9))
+            assert np.array_equal(
+                rows[i], replicate_generator(4, "wide", i).random(SHORT + 1))
 
     @pytest.mark.parametrize("run_rows", [1, 3, 64])
     def test_run_length_does_not_change_rows(self, run_rows, monkeypatch):
         # wide rows go to the threads in runs of consecutive replicates, each
         # thread re-keying the one Philox it keeps; 150 rows end partway
         # through a run of every length tried
-        monkeypatch.setattr(simkit, "_BLOCK_VALUES", 8)
+        monkeypatch.setattr(simkit, "_BLOCK_VALUES", SHORT)
         monkeypatch.setattr(simkit, "_RUN_ROWS", run_rows)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, to expose a shared row
         try:
             ends = run_replicates_batched(
-                150, "runs", 6, 9, lambda block: simkit.uniforms(block[:, [0, -1]]))
+                150, "runs", 6, SHORT + 1,
+                lambda block: simkit.uniforms(block[:, [0, -1]]))
             plain = run_replicates_batched(
-                150, "runs", 6, 9, lambda block: simkit.uniforms(block[:, 1]))
+                150, "runs", 6, SHORT + 1, lambda block: simkit.uniforms(block[:, 1]))
         finally:
             sys.setswitchinterval(interval)
         for i in range(150):
-            row = replicate_generator(6, "runs", i).random(9)
+            row = replicate_generator(6, "runs", i).random(SHORT + 1)
             assert ends[i].tolist() == [row[0], row[-1]]
             assert plain[i] == row[1]
 
@@ -233,7 +243,7 @@ class TestRunReplicatesBatched:
         # run 0 holds its first row, so the main thread is still waiting on
         # it when run 1 fails on the other thread; that thread must then start
         # no queued run, and only run 0 goes on to its end
-        monkeypatch.setattr(simkit, "_BLOCK_VALUES", 8)
+        monkeypatch.setattr(simkit, "_BLOCK_VALUES", SHORT)
         monkeypatch.setattr(simkit, "_RUN_ROWS", 4)
         replicate_of = {replicate_generator(0, "fail", i).random(): i for i in range(8)}
         calls = itertools.count(1)  # next() on a count is atomic under the GIL
@@ -248,7 +258,7 @@ class TestRunReplicatesBatched:
             return block[:, 0]
 
         with pytest.raises(RuntimeError, match="run 1 failed"):
-            run_replicates_batched(400, "fail", 0, 9, task)
+            run_replicates_batched(400, "fail", 0, SHORT + 1, task)
         assert next(calls) - 1 == 4 + 1
 
     def test_outputs_in_replicate_order(self, monkeypatch):
