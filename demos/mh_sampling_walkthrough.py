@@ -18,7 +18,7 @@ from statlab.numerics import density_vs_reference, integrate_real_line
 SEED = 20070420
 
 # Step 1: the normalizing constant.  The density is even, so
-# integrate_real_line integrates the positive half line and doubles it.
+# integrate_real_line integrates twice the density over the positive half line.
 quad = integrate_real_line(unnormalized, tol=1e-10)
 c = normalizing_constant()
 print(f"integral of the unnormalized density: {quad.value:.6f} "

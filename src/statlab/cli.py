@@ -121,13 +121,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_config(usage_error: Callable[[str], NoReturn], path: Path) -> dict:
     """The config file's values as their flags give them; a file that cannot
-    be read, text that is not JSON (or holds an integer too long to parse), an
-    unknown key, a value not of its key's JSON type (a bool is no number), or
-    an integer too large for a number key is a usage error naming the file."""
+    be read, text that is not JSON (or holds an integer too long to parse, or
+    nests too deep), an unknown key, a value not of its key's JSON type (a
+    bool is no number), an integer too large for a number key, or a string
+    holding a NUL character is a usage error naming the file."""
     where = f"config file {path}"
     try:
         values = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         usage_error(f"{where}: {exc}")
     if not isinstance(values, dict):
         usage_error(f"{where} must hold a JSON object")
@@ -140,6 +141,8 @@ def _read_config(usage_error: Callable[[str], NoReturn], path: Path) -> dict:
                 type(v) is item or item is float and type(v) is int for v in items)):
             usage_error(f"{where}: {key!r} must be "
                         f"{_JSON_TYPE_NAMES[kind]}, got {value!r}")
+        if kind is str and "\0" in value:  # no path can hold one
+            usage_error(f"{where}: {key!r} must not hold a NUL character")
         try:
             values[key] = tuple(value) if kind is list else kind(value)
         except OverflowError:

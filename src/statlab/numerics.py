@@ -22,12 +22,9 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 class QuadratureDivergenceError(RuntimeError):
     """Raised when the evaluation budget is exhausted before convergence.
 
-    Carries the partial estimate accumulated so far in ``partial``.
+    It carries no estimate: the one at hand when the budget runs out covers
+    only the sub-interval being refined, not the integral.
     """
-
-    def __init__(self, message: str, partial: float):
-        super().__init__(message)
-        self.partial = partial
 
 
 @dataclass(frozen=True)
@@ -47,31 +44,6 @@ class SummaryStats:
     iqr: float
 
 
-def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, count, budget, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    count[0] += 2
-    if count[0] > budget:
-        raise QuadratureDivergenceError(
-            "evaluation budget of %d exhausted" % budget, partial=whole
-        )
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    err = (left + right - whole) / 15.0
-    if depth <= 0 or abs(err) <= tol:
-        return left + right + err, abs(err)
-    lv, le = _adaptive_simpson(
-        f, a, m, fa, flm, fm, left, tol / 2.0, count, budget, depth - 1
-    )
-    rv, re = _adaptive_simpson(
-        f, m, b, fm, frm, fb, right, tol / 2.0, count, budget, depth - 1
-    )
-    return lv + rv, le + re
-
-
 def integrate_interval(
     f: Callable[[float], float],
     a: float,
@@ -86,7 +58,27 @@ def integrate_interval(
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    count = [0]
+
+    def refine(a, b, fa, fm, fb, whole, tol, depth):
+        """Simpson's rule on [a, b] from its coarse estimate ``whole``, halved
+        until the halves' error estimate meets ``tol``: (value, error)."""
+        nonlocal count
+        m = 0.5 * (a + b)
+        flm = f(0.5 * (a + m))
+        frm = f(0.5 * (m + b))
+        count += 2
+        if count > budget:
+            raise QuadratureDivergenceError(
+                "evaluation budget of %d exhausted" % budget)
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        err = (left + right - whole) / 15.0
+        if depth <= 0 or abs(err) <= tol:
+            return left + right + err, abs(err)
+        lv, le = refine(a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
+        rv, re = refine(m, b, fm, frm, fb, right, tol / 2.0, depth - 1)
+        return lv + rv, le + re
+
     # seed the refinement from a fixed panel grid so a peak narrower than
     # the whole interval cannot be missed by the first coarse estimate
     panels = 16
@@ -94,23 +86,18 @@ def integrate_interval(
     mids = 0.5 * (edges[:-1] + edges[1:])
     f_edges = [f(x) for x in edges]
     f_mids = [f(x) for x in mids]
-    count[0] += 2 * panels + 1
-    simpsons = [
-        (edges[i + 1] - edges[i])
-        / 6.0
-        * (f_edges[i] + 4.0 * f_mids[i] + f_edges[i + 1])
-        for i in range(panels)
-    ]
+    count = 2 * panels + 1
+    simpsons = [(edges[i + 1] - edges[i]) / 6.0
+                * (f_edges[i] + 4.0 * f_mids[i] + f_edges[i + 1])
+                for i in range(panels)]
     abs_tol = tol * max(abs(sum(simpsons)), 1e-30)
     value = err = 0.0
     for i in range(panels):
-        v, e = _adaptive_simpson(
-            f, edges[i], edges[i + 1], f_edges[i], f_mids[i], f_edges[i + 1],
-            simpsons[i], abs_tol / panels, count, budget, depth=55,
-        )
+        v, e = refine(edges[i], edges[i + 1], f_edges[i], f_mids[i],
+                      f_edges[i + 1], simpsons[i], abs_tol / panels, depth=55)
         value += v
         err += e
-    return QuadratureResult(value=value, abs_error=err, evaluations=count[0])
+    return QuadratureResult(value=value, abs_error=err, evaluations=count)
 
 
 def integrate_real_line(
@@ -118,22 +105,18 @@ def integrate_real_line(
     tol: float = DEFAULT_QUAD_TOL,
     budget: int = DEFAULT_EVAL_BUDGET,
 ) -> QuadratureResult:
-    """Integrate an even g over (-inf, inf) as twice its half-line integral.
+    """Integrate an even g over (-inf, inf) as the half-line integral of 2g.
 
     The half line [0, inf) is mapped onto [0, 1) by y = t/(1-t), with
-    dy = dt/(1-t)^2, and the transformed integrand is handled by adaptive
-    Simpson refinement.
+    dy = dt/(1-t)^2, and ``integrate_interval``'s result is returned.
     """
     def transformed(t):
         if t >= 1.0:
             return 0.0
         onemt = 1.0 - t
-        return g(t / onemt) / (onemt * onemt)
+        return 2.0 * g(t / onemt) / (onemt * onemt)
 
-    half = integrate_interval(transformed, 0.0, 1.0, tol=tol, budget=budget)
-    return QuadratureResult(value=2.0 * half.value,
-                            abs_error=2.0 * half.abs_error,
-                            evaluations=half.evaluations)
+    return integrate_interval(transformed, 0.0, 1.0, tol=tol, budget=budget)
 
 
 def minimize_scalar(

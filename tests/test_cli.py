@@ -176,6 +176,8 @@ class TestParseConfig:
     @pytest.mark.parametrize("text, message", [
         ('{"N": 5000,}', "Expecting property name"),
         ('{"N": 1' + "0" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+        pytest.param("[" * 100000 + "]" * 100000,
+                     "maximum recursion depth exceeded", id="deep-nesting"),
     ])
     def test_unparsable_config_file_is_usage_error_naming_it(self, text, message,
                                                              tmp_path, capsys):
@@ -186,6 +188,26 @@ class TestParseConfig:
         err = capsys.readouterr().err
         assert f"config file {cfg}: {message}" in err
         assert not out.exists()
+
+    def test_config_file_not_an_object_is_usage_error_naming_it(self, tmp_path,
+                                                                capsys):
+        cfg = tmp_path / "conf.json"
+        cfg.write_text("[1, 2]")
+        out = tmp_path / "out"
+        assert main(["pooling", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config file {cfg} must hold a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nul_in_config_out_is_usage_error_naming_it(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # with no --out flag, the file's "out" names the directory to make
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps({"out": "a\0b"}))
+        assert main(["pooling", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"config file {cfg}: 'out' must not hold a NUL character" in err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize("name, message", [
         ("missing.json", "No such file or directory"),
@@ -520,6 +542,13 @@ class TestRunAndReport:
         blocker.write_text("")
         code = main(["gof", "--reps", "10", "--out", str(blocker / "sub")])
         assert code == 1
+
+    def test_failed_write_probe_is_runtime_error(self, tmp_path):
+        # the directory exists, but the probe file's name is taken by a
+        # directory, so the probe write fails before any study runs
+        (tmp_path / ".writable").mkdir()
+        assert main(["gof", "--reps", "10", "--out", str(tmp_path)]) == 1
+        assert list(tmp_path.iterdir()) == [tmp_path / ".writable"]
 
     def test_all_runs_every_subcommand(self, tmp_path):
         config = parse_config(["all", "--seed", "3", "--reps", "50",

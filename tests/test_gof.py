@@ -184,6 +184,8 @@ class TestChisqDensity:
     def test_negative_x_rejected(self):
         with pytest.raises(ValueError):
             chisq_density(-1.0, 7)
+        with pytest.raises(ValueError, match="df"):  # and df below 1
+            chisq_density(1.0, 0)
 
     @pytest.mark.parametrize("df", [1, 2, 7])
     def test_bin_averages_match_scipy(self, df):

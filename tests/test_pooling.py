@@ -61,6 +61,11 @@ class TestExpectedTests:
     def test_invalid_prevalence(self):
         with pytest.raises(ValueError):
             expected_tests(5, 100, 1.5)
+        # and a pool size below 1 or no pools
+        with pytest.raises(ValueError, match="k must"):
+            expected_tests(0.5, 100, 0.05)
+        with pytest.raises(ValueError, match="n must"):
+            expected_tests(5, 0, 0.05)
 
 
 class TestContinuousOptimum:
@@ -68,6 +73,13 @@ class TestContinuousOptimum:
         opt = optimal_pool_size_continuous(0.05)
         assert opt.k == pytest.approx(5.022, abs=0.005)
         assert not opt.at_boundary
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
+    def test_prevalence_outside_open_interval_rejected(self, p):
+        with pytest.raises(ValueError, match="strictly"):
+            optimal_pool_size_continuous(p)
+        with pytest.raises(ValueError, match="strictly"):
+            optimal_pool_size_root(p)
 
     def test_agrees_with_bisection(self):
         for p in (0.05, 0.01, 0.1):
