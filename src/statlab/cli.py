@@ -54,7 +54,7 @@ OPTIONS = {
                    "override the number of simulation replicates"),
     "out": Option(_ANY, str, str, "output directory (default statlab_out)"),
     "figures": Option(_ANY, bool, None, "also emit SVG figures"),
-    "workers": Option(_ANY, int, int, "accepted and ignored: no output depends on it"),
+    "workers": Option(_ANY, int, int, "at least 1, and ignored: no output depends on it"),
     "p": Option(("pooling",), float, float, "prevalence"),
     "N": Option(("pooling",), int, int, "population size"),
     "k_range": Option(("pooling",), list, _parse_ints(":"),
@@ -160,6 +160,8 @@ def parse_config(argv: list[str] | None) -> RunConfig:
               if args.subcommand in OPTIONS[key].subcommands}
     values.update((key, value) for key, value in vars(args).items()
                   if key in OPTIONS and value is not None)
+    if values.get("workers", 1) < 1:
+        args.usage_error(f"--workers must be >= 1, got {values['workers']}")
     plans = {}
     for name in _STUDIES if args.subcommand == "all" else (args.subcommand,):
         try:

@@ -2,7 +2,8 @@
 
 Every simulation replicate owns a private substream, ``stream(root_seed,
 experiment_id, replicate_index)``, so results are identical no matter how
-replicates are batched or which thread runs them.
+replicates are batched or whether the calling thread or its one helper
+thread runs them.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import hashlib
 import math
 import threading
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import ndtri
@@ -60,15 +60,16 @@ def stream(
 MAX_REPS = 10**6
 # The widest replicate row: a pooling population, or a gof or estimator
 # sample size or gof bin count.  A row is that many 8-byte words or floats
-# (80 MB at the bound), and each of the two wide-row threads holds one.
+# (80 MB at the bound), and the calling thread and its wide-row helper each
+# hold one.
 MAX_ROW_DRAWS = 10**7
 
 # The most words one block of a batched task may hold (a 128 KiB uint64
 # block), so memory stays bounded.
 _BLOCK_VALUES = 1 << 14
-# Consecutive rows one thread draws per pool task when a row is wider than a
-# block: enough that handing out tasks costs little next to drawing, few
-# enough that the two threads finish close together.
+# Consecutive rows one worker, the calling thread or its helper, draws per
+# span when a row is wider than a block: enough that handing out spans costs
+# little next to drawing, few enough that the two finish close together.
 _RUN_ROWS = 64
 # The widest row drawn by the array Philox rather than by re-keying numpy's;
 # run_replicates_batched's docstring gives the measured crossover.
@@ -172,7 +173,8 @@ def run_replicates_batched(
     words), calls ``task`` and checks the output; no per-replicate generator
     is built.  A serial span is one block; only a threaded span holds several.
     The width of a row picks one of three ways to draw, and the spans run
-    serially for the first two, on two threads for the third:
+    serially for the first two, on the calling thread and one helper thread
+    for the third:
 
     - Short rows, at most ``_SHORT_ROW_DRAWS`` draws, run serially, and each
       block is drawn whole by one array Philox4x64-10 (``_philox_words``), so
@@ -187,13 +189,14 @@ def run_replicates_batched(
       either way at 64, and 10.6 against 9.6 us at 100.
     - A row alone larger than a block is a block of one row, drawn re-keyed
       as above and not copied again.  Such rows spend most of their time
-      drawing, which numpy does with the GIL released, so two threads, each
-      with its own Philox, run spans of ``_RUN_ROWS`` consecutive rows.
-      ``task`` must be safe to call from both threads at once.  After an
-      error, no span still queued starts.
+      drawing, which numpy does with the GIL released, so the calling thread
+      and one helper thread, each with its own Philox, take the next span
+      of ``_RUN_ROWS`` consecutive rows whenever free.  ``task`` must be safe
+      to call from both at once.  After an error in either, no further span starts,
+      and the helper has ended before the first error is raised.
 
     The output depends on neither the path, the block size, the span length
-    nor the threads.
+    nor the thread that runs a span.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
@@ -202,7 +205,6 @@ def run_replicates_batched(
     size = max(1, _BLOCK_VALUES // n_draws)
     span = size if size > 1 else _RUN_ROWS
     local = threading.local()
-    failed = threading.Event()
 
     def draw(keys: np.ndarray) -> np.ndarray:
         """The first ``n_draws`` words of the streams keyed by ``keys``."""
@@ -218,32 +220,37 @@ def run_replicates_batched(
             rows.append(local.philox.random_raw(n_draws))
         return rows[0][None] if len(rows) == 1 else np.stack(rows)
 
-    def run(start: int) -> np.ndarray | None:
-        if failed.is_set():  # an earlier span failed; the caller never reads this
-            return None
+    def run(start: int) -> np.ndarray:
         keys = _block_keys(root_seed, experiment_id, start,
                            min(span, n_reps - start))
-        try:
-            outs = []
-            for i in range(0, len(keys), size):
-                part = keys[i:i + size]  # no name keeps a block past its task
-                out = np.asarray(task(draw(part)), dtype=float)
-                if out.shape[:1] != (len(part),):
-                    raise ValueError(f"task output has shape {out.shape}, "
-                                     f"expected {len(part)} rows")
-                outs.append(out)
-            return np.concatenate(outs)
-        except BaseException:
-            failed.set()
-            raise
+        outs = []
+        for i in range(0, len(keys), size):
+            part = keys[i:i + size]  # no name keeps a block past its task
+            out = np.asarray(task(draw(part)), dtype=float)
+            if out.shape[:1] != (len(part),):
+                raise ValueError(f"task output has shape {out.shape}, "
+                                 f"expected {len(part)} rows")
+            outs.append(out)
+        return np.concatenate(outs)
 
-    starts = range(0, n_reps, span)
+    starts = iter(range(0, n_reps, span))
     if size > 1:
         return np.concatenate(list(map(run, starts)))
-    pool = ThreadPoolExecutor(2)
-    try:
-        parts = list(pool.map(run, starts))
-    finally:
-        failed.set()
-        pool.shutdown(cancel_futures=True)  # after an error, skip queued spans
-    return np.concatenate(parts)
+    parts, errors = {}, []
+
+    def work() -> None:
+        try:
+            for start in starts:  # each span start goes to one worker
+                if errors:  # after an error, no span starts
+                    return
+                parts[start] = run(start)
+        except BaseException as error:
+            errors.append(error)
+
+    helper = threading.Thread(target=work)
+    helper.start()
+    work()
+    helper.join()
+    if errors:
+        raise errors[0]
+    return np.concatenate([parts[start] for start in sorted(parts)])

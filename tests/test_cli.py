@@ -106,6 +106,11 @@ class TestParseConfig:
         (["pooling", "--p", "1e-300"], "--p"),
         (["pooling", {"p": 1e-17}], "--p"),
         (["estimator", "--sigma", "5e-324"], "--sigma"),
+        (["pooling", "--workers", "0"], "--workers"),
+        (["pooling", "--workers", "-3"], "--workers"),
+        (["all", "--workers", "0"], "--workers"),
+        (["pooling", {"workers": 0}], "--workers"),
+        (["mh", {"workers": -1}], "--workers"),
     ])
     def test_invalid_option_is_usage_error(self, argv, flag, tmp_path, capsys):
         if isinstance(argv[-1], dict):

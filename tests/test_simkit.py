@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import sys
+import threading
 import time
 
 import numpy as np
@@ -209,8 +210,9 @@ class TestRunReplicatesBatched:
             assert sum(len(b) for b in seen) == 40
 
     def test_one_row_blocks_on_two_threads(self, monkeypatch):
-        # rows wider than a block run one per block on two threads, each with
-        # its own generator; outputs still come back in replicate order
+        # rows wider than a block run one per block on the calling thread and
+        # its helper, each with its own generator; outputs still come back in
+        # replicate order
         monkeypatch.setattr(simkit, "_BLOCK_VALUES", SHORT)
         rows = run_replicates_batched(300, "wide", 4, SHORT + 1, _columns)
         for i in range(300):
@@ -219,8 +221,8 @@ class TestRunReplicatesBatched:
 
     @pytest.mark.parametrize("run_rows", [1, 3, 64])
     def test_run_length_does_not_change_rows(self, run_rows, monkeypatch):
-        # wide rows go to the threads in runs of consecutive replicates, each
-        # thread re-keying the one Philox it keeps; 150 rows end partway
+        # wide rows go to the two workers in runs of consecutive replicates,
+        # each re-keying the one Philox it keeps; 150 rows end partway
         # through a run of every length tried
         monkeypatch.setattr(simkit, "_BLOCK_VALUES", SHORT)
         monkeypatch.setattr(simkit, "_RUN_ROWS", run_rows)
@@ -240,9 +242,9 @@ class TestRunReplicatesBatched:
             assert plain[i] == row[1]
 
     def test_wide_row_error_skips_queued_runs(self, monkeypatch):
-        # run 0 holds its first row, so the main thread is still waiting on
-        # it when run 1 fails on the other thread; that thread must then start
-        # no queued run, and only run 0 goes on to its end
+        # whichever worker takes run 0 holds its first row while the other
+        # worker fails on run 1; neither may then start a further run, so
+        # only run 0 goes on to its end
         monkeypatch.setattr(simkit, "_BLOCK_VALUES", SHORT)
         monkeypatch.setattr(simkit, "_RUN_ROWS", 4)
         replicate_of = {replicate_generator(0, "fail", i).random(): i for i in range(8)}
@@ -260,6 +262,53 @@ class TestRunReplicatesBatched:
         with pytest.raises(RuntimeError, match="run 1 failed"):
             run_replicates_batched(400, "fail", 0, SHORT + 1, task)
         assert next(calls) - 1 == 4 + 1
+
+    @pytest.mark.parametrize("failing", ["caller", "helper"])
+    def test_wide_row_error_on_either_thread_propagates(self, failing,
+                                                        monkeypatch):
+        # the failing thread raises on its first row; the other holds its
+        # first row until then and ends its run, and neither starts another,
+        # so the other makes no task call or one run's four
+        monkeypatch.setattr(simkit, "_BLOCK_VALUES", SHORT)
+        monkeypatch.setattr(simkit, "_RUN_ROWS", 4)
+        caller = threading.get_ident()
+        failed = threading.Event()
+        calls = []  # list.append is atomic under the GIL
+
+        def task(block):
+            where = "caller" if threading.get_ident() == caller else "helper"
+            calls.append(where)
+            if where == failing:
+                failed.set()
+                raise RuntimeError(f"{where} failed")
+            if not failed.wait(5):
+                raise RuntimeError("the other thread never failed")
+            time.sleep(0.05)  # the failing thread records its error meanwhile
+            return block[:, 0]
+
+        with pytest.raises(RuntimeError, match=f"{failing} failed"):
+            run_replicates_batched(400, "fail", 0, SHORT + 1, task)
+        other = "helper" if failing == "caller" else "caller"
+        assert calls.count(failing) == 1
+        assert calls.count(other) in (0, 4)
+
+    def test_wide_rows_leave_no_thread_behind(self, monkeypatch):
+        # the helper has ended by the time the call returns or raises, even
+        # when it fails after the calling thread has
+        monkeypatch.setattr(simkit, "_BLOCK_VALUES", SHORT)
+        before = threading.active_count()
+        run_replicates_batched(100, "threads", 1, SHORT + 1, lambda b: b[:, 0])
+        assert threading.active_count() == before
+        caller = threading.get_ident()
+
+        def task(block):
+            if threading.get_ident() != caller:
+                time.sleep(0.2)
+            raise RuntimeError("task failed")
+
+        with pytest.raises(RuntimeError, match="task failed"):
+            run_replicates_batched(100, "threads", 1, SHORT + 1, task)
+        assert threading.active_count() == before
 
     def test_outputs_in_replicate_order(self, monkeypatch):
         monkeypatch.setattr(simkit, "_BLOCK_VALUES", 8 * 4)
