@@ -162,6 +162,8 @@ def parse_config(argv: list[str] | None) -> RunConfig:
                   if key in OPTIONS and value is not None)
     if values.get("workers", 1) < 1:
         args.usage_error(f"--workers must be >= 1, got {values['workers']}")
+    if values.get("out") == "":  # an empty path would write into the cwd
+        args.usage_error("--out must not be empty")
     plans = {}
     for name in _STUDIES if args.subcommand == "all" else (args.subcommand,):
         try:

@@ -38,6 +38,10 @@ class GofPlan:
         if not 1 <= self.n_reps <= simkit.MAX_REPS:
             raise ValueError(f"n_reps must lie in [1, {simkit.MAX_REPS}], got "
                              f"{self.n_reps}")
+        if self.n_reps * len(self.sample_sizes) > simkit.MAX_REPLICATE_SIZES:
+            raise ValueError(f"n_reps times the number of sample_sizes = "
+                             f"{len(self.sample_sizes)} must be at most "
+                             f"{simkit.MAX_REPLICATE_SIZES}, got {self.n_reps}")
 
     def run(self, root_seed: int):
         """The study's tables, figures to draw, summary and warnings."""

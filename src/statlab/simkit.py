@@ -2,8 +2,7 @@
 
 Every simulation replicate owns a private substream, ``stream(root_seed,
 experiment_id, replicate_index)``, so results are identical no matter how
-replicates are batched or whether the calling thread or its one helper
-thread runs them.
+replicates are batched or how many threads run them.
 """
 
 from __future__ import annotations
@@ -55,22 +54,28 @@ def stream(
 
 
 # The most replicates a study may run.  The engine returns n_reps floats per
-# output, and gof and estimator write a table row per replicate, size and
-# estimator (some 25 bytes), so each size adds at most about 50 MB of table.
+# output, and gof and estimator hold a table row per replicate and size (and
+# estimator) before their first write, about 31 and 98 bytes per replicate
+# and size, so each size adds about 30 or 100 MB at the bound.
 MAX_REPS = 10**6
+# The most (replicate, sample size) pairs a gof or estimator study may run,
+# n_reps times the number of sample sizes: about 1 GB held at the bound.
+MAX_REPLICATE_SIZES = 10**7
 # The widest replicate row: a pooling population, or a gof or estimator
 # sample size or gof bin count.  A row is that many 8-byte words or floats
-# (80 MB at the bound), and the calling thread and its wide-row helper each
-# hold one.
+# (80 MB at the bound), and each worker of the replicate engine holds one.
 MAX_ROW_DRAWS = 10**7
 
 # The most words one block of a batched task may hold (a 128 KiB uint64
 # block), so memory stays bounded.
 _BLOCK_VALUES = 1 << 14
-# Consecutive rows one worker, the calling thread or its helper, draws per
-# span when a row is wider than a block: enough that handing out spans costs
-# little next to drawing, few enough that the two finish close together.
+# Consecutive rows one worker draws per span when a row is wider than a
+# block: enough that handing out spans costs little next to drawing, few
+# enough that the workers finish close together.
 _RUN_ROWS = 64
+# Helper threads that join the calling thread when a row is wider than a
+# block; narrower rows run on the calling thread alone.
+_HELPERS = 1
 # The widest row drawn by the array Philox rather than by re-keying numpy's;
 # run_replicates_batched's docstring gives the measured crossover.
 _SHORT_ROW_DRAWS = 64
@@ -168,35 +173,33 @@ def run_replicates_batched(
     in replicate order.  A task output with another first axis is a
     ValueError.
 
-    One loop, ``run``, keys a span of rows from one hashed prefix
-    (``_block_keys``), then draws each block of it (at most ``_BLOCK_VALUES``
-    words), calls ``task`` and checks the output; no per-replicate generator
-    is built.  A serial span is one block; only a threaded span holds several.
-    The width of a row picks one of three ways to draw, and the spans run
-    serially for the first two, on the calling thread and one helper thread
-    for the third:
+    One loop, ``work``, takes span starts from one shared iterator, keys a
+    span's rows from one hashed prefix (``_block_keys``), then draws each
+    block of it (at most ``_BLOCK_VALUES`` words), calls ``task``, checks the
+    output and stores it by its start.  Every worker runs it with a Philox
+    of its own.  The width of a row picks one of three ways to draw:
 
-    - Short rows, at most ``_SHORT_ROW_DRAWS`` draws, run serially, and each
-      block is drawn whole by one array Philox4x64-10 (``_philox_words``), so
-      no row pays numpy's per-call overhead.
-    - Wider rows that still fit several to a block run serially, and each
-      row is drawn by ``random_raw`` from one Philox re-keyed to the
-      replicate's key with its counter and buffer zeroed, which is how a
-      fresh stream starts.  The array Philox costs about 11 times numpy's per
-      word (67 against 5.9 ns), which the per-row overhead it saves no longer
-      repays here.  On a 2-vCPU host, 10 000 rows with a trivial task took,
-      array against re-keyed, 3.0 against 7.9 us per row at 16 draws, 5.5 us
+    - Short rows, at most ``_SHORT_ROW_DRAWS`` draws: each block is drawn
+      whole by one array Philox4x64-10 (``_philox_words``), so no row pays
+      numpy's per-call overhead.
+    - Wider rows that still fit several to a block: each row is drawn by
+      ``random_raw`` from the worker's Philox re-keyed to the replicate's
+      key with its counter and buffer zeroed, which is how a fresh stream
+      starts.  The array Philox costs about 11 times numpy's per word (67
+      against 5.9 ns), which the per-row overhead it saves no longer repays
+      here.  On a 2-vCPU host, 10 000 rows with a trivial task took, array
+      against re-keyed, 3.0 against 7.9 us per row at 16 draws, 5.5 us
       either way at 64, and 10.6 against 9.6 us at 100.
     - A row alone larger than a block is a block of one row, drawn re-keyed
-      as above and not copied again.  Such rows spend most of their time
-      drawing, which numpy does with the GIL released, so the calling thread
-      and one helper thread, each with its own Philox, take the next span
-      of ``_RUN_ROWS`` consecutive rows whenever free.  ``task`` must be safe
-      to call from both at once.  After an error in either, no further span starts,
-      and the helper has ended before the first error is raised.
+      as above and not copied again, in spans of ``_RUN_ROWS`` rows.  Such
+      rows spend most of their time drawing, which numpy does with the GIL
+      released, so ``_HELPERS`` helper threads join the calling thread, and
+      ``task`` must be safe to call from all at once.  Narrower rows run on
+      the calling thread alone, a span of one block each.
 
-    The output depends on neither the path, the block size, the span length
-    nor the thread that runs a span.
+    After an error in any worker no further span starts, and the helpers
+    have ended before the first error is raised.  The output depends on
+    neither the path, the block size, the span length nor the thread count.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
@@ -204,53 +207,48 @@ def run_replicates_batched(
         raise ValueError("n_draws must be >= 1")
     size = max(1, _BLOCK_VALUES // n_draws)
     span = size if size > 1 else _RUN_ROWS
-    local = threading.local()
+    starts = iter(range(0, n_reps, span))
+    parts, errors = {}, []
 
-    def draw(keys: np.ndarray) -> np.ndarray:
+    def draw(keys: np.ndarray, philox: np.random.Philox, fresh: dict) -> np.ndarray:
         """The first ``n_draws`` words of the streams keyed by ``keys``."""
         if n_draws <= _SHORT_ROW_DRAWS:
             return _philox_words(keys, n_draws)
-        if not hasattr(local, "philox"):  # a re-keyed Philox is single-owner
-            local.philox = np.random.Philox(key=0)
-            local.fresh = local.philox.state
         rows = []
         for key in keys.tolist():
-            local.fresh["state"]["key"] = key
-            local.philox.state = local.fresh
-            rows.append(local.philox.random_raw(n_draws))
+            fresh["state"]["key"] = key
+            philox.state = fresh
+            rows.append(philox.random_raw(n_draws))
         return rows[0][None] if len(rows) == 1 else np.stack(rows)
 
-    def run(start: int) -> np.ndarray:
-        keys = _block_keys(root_seed, experiment_id, start,
-                           min(span, n_reps - start))
-        outs = []
-        for i in range(0, len(keys), size):
-            part = keys[i:i + size]  # no name keeps a block past its task
-            out = np.asarray(task(draw(part)), dtype=float)
-            if out.shape[:1] != (len(part),):
-                raise ValueError(f"task output has shape {out.shape}, "
-                                 f"expected {len(part)} rows")
-            outs.append(out)
-        return np.concatenate(outs)
-
-    starts = iter(range(0, n_reps, span))
-    if size > 1:
-        return np.concatenate(list(map(run, starts)))
-    parts, errors = {}, []
-
     def work() -> None:
+        philox = np.random.Philox(key=0)  # a re-keyed Philox is single-owner
+        fresh = philox.state
         try:
             for start in starts:  # each span start goes to one worker
                 if errors:  # after an error, no span starts
                     return
-                parts[start] = run(start)
+                keys = _block_keys(root_seed, experiment_id, start,
+                                   min(span, n_reps - start))
+                outs = []
+                for i in range(0, len(keys), size):
+                    part = keys[i:i + size]  # no name keeps a block past its task
+                    out = np.asarray(task(draw(part, philox, fresh)), dtype=float)
+                    if out.shape[:1] != (len(part),):
+                        raise ValueError(f"task output has shape {out.shape}, "
+                                         f"expected {len(part)} rows")
+                    outs.append(out)
+                parts[start] = np.concatenate(outs)
         except BaseException as error:
             errors.append(error)
 
-    helper = threading.Thread(target=work)
-    helper.start()
+    helpers = [threading.Thread(target=work)
+               for _ in range(_HELPERS if size == 1 else 0)]
+    for helper in helpers:
+        helper.start()
     work()
-    helper.join()
+    for helper in helpers:
+        helper.join()
     if errors:
         raise errors[0]
     return np.concatenate([parts[start] for start in sorted(parts)])

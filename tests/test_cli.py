@@ -15,7 +15,7 @@ from statlab.gof import GofPlan
 from statlab.mh import MAX_CHAIN_STEPS, MAX_PROPOSAL_SD, MhConfig
 from statlab.pooling import PoolingPlan
 from statlab.report import RunConfig, run_and_report
-from statlab.simkit import MAX_REPS, MAX_ROW_DRAWS
+from statlab.simkit import MAX_REPLICATE_SIZES, MAX_REPS, MAX_ROW_DRAWS
 
 # A valid value of every option: its flag text (None for a switch) and the
 # same value as a config file holds it.
@@ -119,8 +119,21 @@ class TestParseConfig:
             argv = [*argv[:-1], "--config", str(cfg)]
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 2
-        assert flag in capsys.readouterr().err
+        assert flag in capsys.readouterr().err.splitlines()[-1]
         assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["", {"out": ""}], ids=["flag", "config"])
+    def test_empty_out_is_usage_error(self, out, tmp_path, monkeypatch, capsys):
+        # an empty path names the current directory: nothing may be written
+        monkeypatch.chdir(tmp_path)
+        argv = ["mh", "--samples", "10", "--out", out]
+        if isinstance(out, dict):
+            (tmp_path / "conf.json").write_text(json.dumps(out))
+            argv[-2:] = ["--config", "conf.json"]
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 2
+        assert "--out" in capsys.readouterr().err.splitlines()[-1]
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_invalid_config_file_option_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "conf.json"
@@ -273,6 +286,8 @@ class TestParseConfig:
         (["estimator", "--sizes", str(MAX_ROW_DRAWS)], "--sizes"),
         (["gof", "--sizes", str(MAX_ROW_DRAWS), "--bins", str(MAX_ROW_DRAWS)],
          "--bins"),
+        (["estimator", "--sizes", ",".join(map(str, range(4, 24))),
+          "--reps", str(MAX_REPLICATE_SIZES // 20)], "--sizes"),
     ])
     def test_run_size_bound_admits_the_bound_only(self, argv, flag, capsys):
         # builds plans only: nothing of this size is run
@@ -281,7 +296,21 @@ class TestParseConfig:
         with pytest.raises(SystemExit) as excinfo:
             parse_config(past)
         assert excinfo.value.code == 2
-        assert flag in capsys.readouterr().err
+        assert flag in capsys.readouterr().err.splitlines()[-1]
+
+    @pytest.mark.parametrize("study, sizes", [
+        ("gof", range(8, 16_001, 8)),
+        ("estimator", range(4, 15)),
+    ])
+    def test_replicate_size_pairs_are_bounded(self, study, sizes, capsys):
+        # builds plans only: 2 000 gof sizes at 10**6 replicates would hold
+        # some 60 GB of table before the first write
+        argv = [study, "--sizes", ",".join(map(str, sizes)), "--reps", str(MAX_REPS)]
+        with pytest.raises(SystemExit) as excinfo:
+            parse_config(argv)
+        assert excinfo.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert "--reps" in message and "--sizes" in message
 
     def test_config_file_bool_and_path_keys(self, tmp_path):
         cfg = tmp_path / "conf.json"

@@ -1,13 +1,13 @@
 """The reproducibility contract over the whole pipeline: no layout constant
 changes what a run writes.
 
-Six constants decide only how work is laid out: the engine's block, span and
-short-row widths, the MH chain's chunk, the histogram's slice and the table
-writer's chunk.  Each argv below is run once as shipped and again under each
-combination of patched values; every table, SVG and summary (its timestamp
-aside) must come out the same.  The argvs' rows lie at and past
-``_SHORT_ROW_DRAWS`` (64 draws), and under the small block widths below a row
-alone fills a block, so the threaded dispatch runs too.
+Seven constants decide only how work is laid out: the engine's block, span and
+short-row widths and its helper-thread count, the MH chain's chunk, the
+histogram's slice and the table writer's chunk.  Each argv below is run once
+as shipped and again under each combination of patched values; every table,
+SVG and summary (its timestamp aside) must come out the same.  The argvs' rows
+lie at and past ``_SHORT_ROW_DRAWS`` (64 draws), and under the small block
+widths below a row alone fills a block, so 0, 2 or 3 helper threads run too.
 
 One exception is known: mh's summary mean and variance merge per-chunk sums,
 so ``mh._CHUNK_STEPS`` moves their last bits (by an ulp or two); they are
@@ -29,20 +29,23 @@ ARGVS = [
 ]
 
 CONSTANTS = [(simkit, "_BLOCK_VALUES"), (simkit, "_RUN_ROWS"),
-             (simkit, "_SHORT_ROW_DRAWS"), (mh, "_CHUNK_STEPS"),
-             (numerics, "_HISTOGRAM_SLICE"), (report, "_CHUNK_ROWS")]
+             (simkit, "_SHORT_ROW_DRAWS"), (simkit, "_HELPERS"),
+             (mh, "_CHUNK_STEPS"), (numerics, "_HISTOGRAM_SLICE"),
+             (report, "_CHUNK_ROWS")]
 
 # One value per constant above, in that order.  Blocks of 100 and 65 words
-# hold one row of every argv, 130 and 144 two rows of 64 draws; a short-row
-# bound of 0 re-keys every row and one of 2**20 draws every row by the array
-# Philox; an mh chunk of 9004 steps leaves a one-step chunk of the 9005.
+# hold one row of every argv, so 2 and 3 helpers run; a block of 130 holds
+# one 72-draw row (pooling's and gof's), run with no helper, and one of 144
+# two rows of every width; a short-row bound of 0 re-keys every row and one of 2**20
+# draws every row by the array Philox; an mh chunk of 9004 steps leaves a
+# one-step chunk of the 9005.
 LAYOUTS = [
-    (100, 1, 64, 7, 7, 1),
-    (130, 3, 1, 1000, 500, 7),
-    (1000, 2, 100, 9004, 9000, 300),
-    (65, 5, 65, 13, 3, 2),
-    (144, 7, 0, 4095, 8191, 1023),
-    (simkit._BLOCK_VALUES, 64, 1 << 20, 100, 64, 2),
+    (100, 1, 64, 2, 7, 7, 1),
+    (130, 3, 1, 0, 1000, 500, 7),
+    (1000, 2, 100, 1, 9004, 9000, 300),
+    (65, 5, 65, 3, 13, 3, 2),
+    (144, 7, 0, 2, 4095, 8191, 1023),
+    (simkit._BLOCK_VALUES, 64, 1 << 20, 1, 100, 64, 2),
 ]
 CHUNK_SUMMED = ("sample_mean", "sample_variance")
 

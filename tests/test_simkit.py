@@ -142,10 +142,13 @@ class TestArrayPhilox:
 
     @pytest.mark.parametrize("n_draws", [SHORT, SHORT + 1])
     def test_engine_rows_at_the_crossover(self, n_draws, monkeypatch):
-        # either side of the crossover, blocks of 3 rows with a ragged last one
+        # either side of the crossover, blocks of 3 rows with a ragged last
+        # one, all on the calling thread: rows that fit a block start no thread
         monkeypatch.setattr(simkit, "_BLOCK_VALUES", 3 * n_draws + 1)
+        threads = _count_threads(monkeypatch)
         seen = _blocks(8, n_draws)
         assert [len(b) for b in seen] == [3, 3, 2]
+        assert threads == []
         _assert_stream_rows(np.concatenate(seen), 21, "blocks")
 
 
@@ -155,6 +158,19 @@ def _assert_stream_rows(rows, seed, experiment_id):
     for i, row in enumerate(rows):
         words = replicate_generator(seed, experiment_id, i).bit_generator
         assert np.array_equal(row, words.random_raw(len(row)))
+
+
+def _count_threads(monkeypatch):
+    """The list to which every thread constructed from now on is appended."""
+    made = []
+
+    class Counted(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simkit.threading, "Thread", Counted)
+    return made
 
 
 def _columns(block):
@@ -219,13 +235,18 @@ class TestRunReplicatesBatched:
             assert np.array_equal(
                 rows[i], replicate_generator(4, "wide", i).random(SHORT + 1))
 
-    @pytest.mark.parametrize("run_rows", [1, 3, 64])
-    def test_run_length_does_not_change_rows(self, run_rows, monkeypatch):
-        # wide rows go to the two workers in runs of consecutive replicates,
-        # each re-keying the one Philox it keeps; 150 rows end partway
-        # through a run of every length tried
+    @pytest.mark.parametrize("run_rows, helpers", [
+        pytest.param(n, h, id=str(n) if h == simkit._HELPERS else f"{n}-{h}-helpers")
+        for h in (simkit._HELPERS, 0, 3) for n in (1, 3, 64)])
+    def test_run_length_does_not_change_rows(self, run_rows, helpers,
+                                             monkeypatch):
+        # wide rows go to the calling thread and its helpers in runs of
+        # consecutive replicates, each worker re-keying the one Philox it
+        # keeps; 150 rows end partway through a run of every length tried
         monkeypatch.setattr(simkit, "_BLOCK_VALUES", SHORT)
         monkeypatch.setattr(simkit, "_RUN_ROWS", run_rows)
+        monkeypatch.setattr(simkit, "_HELPERS", helpers)
+        threads = _count_threads(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, to expose a shared row
         try:
@@ -236,10 +257,30 @@ class TestRunReplicatesBatched:
                 150, "runs", 6, SHORT + 1, lambda block: simkit.uniforms(block[:, 1]))
         finally:
             sys.setswitchinterval(interval)
+        assert len(threads) == 2 * helpers
         for i in range(150):
             row = replicate_generator(6, "runs", i).random(SHORT + 1)
             assert ends[i].tolist() == [row[0], row[-1]]
             assert plain[i] == row[1]
+
+    @pytest.mark.parametrize("n_draws", [SHORT, SHORT + 1])
+    def test_narrow_row_error_propagates_unchanged(self, n_draws, monkeypatch):
+        # the task's own exception comes out of the engine, and no block
+        # after the failing one reaches the task
+        monkeypatch.setattr(simkit, "_BLOCK_VALUES", 2 * n_draws)
+        error = RuntimeError("second block failed")
+        calls = []
+
+        def task(block):
+            calls.append(len(block))
+            if len(calls) == 2:
+                raise error
+            return block[:, 0]
+
+        with pytest.raises(RuntimeError) as excinfo:
+            run_replicates_batched(10, "fail", 0, n_draws, task)
+        assert excinfo.value is error
+        assert calls == [2, 2]
 
     def test_wide_row_error_skips_queued_runs(self, monkeypatch):
         # whichever worker takes run 0 holds its first row while the other
