@@ -39,19 +39,10 @@ class EstimatorStudyPlan:
         if any(not 4 <= n <= simkit.MAX_ROW_DRAWS for n in self.sample_sizes):
             raise ValueError(f"sample_sizes must each lie in [4, "
                              f"{simkit.MAX_ROW_DRAWS}], got {self.sample_sizes}")
-        if len(set(self.sample_sizes)) < len(self.sample_sizes):
-            raise ValueError(f"sample_sizes must be distinct, got "
-                             f"{self.sample_sizes}")
         if not MIN_TRUE_SD <= self.true_sd <= MAX_TRUE_SD:
             raise ValueError(f"true_sd must lie in [2**-1022, {MAX_TRUE_SD:g}], "
                              f"got {self.true_sd}")
-        if not 2 <= self.n_reps <= simkit.MAX_REPS:
-            raise ValueError(f"n_reps must lie in [2, {simkit.MAX_REPS}], got "
-                             f"{self.n_reps}")
-        if self.n_reps * len(self.sample_sizes) > simkit.MAX_REPLICATE_SIZES:
-            raise ValueError(f"n_reps times the number of sample_sizes = "
-                             f"{len(self.sample_sizes)} must be at most "
-                             f"{simkit.MAX_REPLICATE_SIZES}, got {self.n_reps}")
+        simkit.check_replicates(self.n_reps, self.sample_sizes, least=2)
 
     def run(self, root_seed: int):
         """The study's tables, figures to draw, summary and no warnings."""

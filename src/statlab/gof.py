@@ -32,16 +32,7 @@ class GofPlan:
                 raise ValueError(f"sample_sizes must be multiples of bins = "
                                  f"{self.bins} and at most "
                                  f"{simkit.MAX_ROW_DRAWS}, got {n}")
-        if len(set(self.sample_sizes)) < len(self.sample_sizes):
-            raise ValueError(f"sample_sizes must be distinct, got "
-                             f"{self.sample_sizes}")
-        if not 1 <= self.n_reps <= simkit.MAX_REPS:
-            raise ValueError(f"n_reps must lie in [1, {simkit.MAX_REPS}], got "
-                             f"{self.n_reps}")
-        if self.n_reps * len(self.sample_sizes) > simkit.MAX_REPLICATE_SIZES:
-            raise ValueError(f"n_reps times the number of sample_sizes = "
-                             f"{len(self.sample_sizes)} must be at most "
-                             f"{simkit.MAX_REPLICATE_SIZES}, got {self.n_reps}")
+        simkit.check_replicates(self.n_reps, self.sample_sizes)
 
     def run(self, root_seed: int):
         """The study's tables, figures to draw, summary and warnings."""

@@ -41,12 +41,13 @@ class PoolingPlan:
                 2 <= self.k_range[0] < self.k_range[1] <= self.N):
             raise ValueError(f"k_range must satisfy 2 <= lo < hi <= N = "
                              f"{self.N}, got {self.k_range}")
-        if not self.candidates:
+        candidates = self.candidates
+        if not candidates:
             raise ValueError(f"N must have a divisor in k_range = {self.k_range}, "
                              f"got {self.N}")
-        if not 1 <= self.n_reps <= simkit.MAX_REPS:
-            raise ValueError(f"n_reps must lie in [1, {simkit.MAX_REPS}], got "
-                             f"{self.n_reps}")
+        simkit.check_replicates(self.n_reps, words=(
+            self.N * len(candidates), f"N = {self.N} for each of the "
+            f"{len(candidates)} divisors of N in k_range = {self.k_range}"))
 
     @property
     def candidates(self) -> list[int]:

@@ -53,18 +53,43 @@ def stream(
         key=_block_keys(root_seed, experiment_id, replicate_index, 1)[0])
 
 
-# The most replicates a study may run.  The engine returns n_reps floats per
-# output, and gof and estimator hold a table row per replicate and size (and
-# estimator) before their first write, about 31 and 98 bytes per replicate
-# and size, so each size adds about 30 or 100 MB at the bound.
+# The most replicates a study may run, for memory.  The engine returns n_reps
+# floats per output, and gof and estimator hold a table row per replicate and
+# size (and estimator) before their first write, about 31 and 98 bytes per
+# replicate and size, so each size adds about 30 or 100 MB at the bound.
 MAX_REPS = 10**6
 # The most (replicate, sample size) pairs a gof or estimator study may run,
-# n_reps times the number of sample sizes: about 1 GB held at the bound.
+# n_reps times the number of sample sizes, for memory: about 1 GB held.
 MAX_REPLICATE_SIZES = 10**7
+# The most words a study's replicates may draw, n_reps times the summed row
+# widths of its engine calls, for time.  On a 2-vCPU host pooling draws
+# 230-300M words/s (6-7 minutes at the bound), and gof and the estimator, on
+# rows of 10**6 words, about 78M and 30M (21 and 55 minutes).
+MAX_RUN_WORDS = 10**11
 # The widest replicate row: a pooling population, or a gof or estimator
 # sample size or gof bin count.  A row is that many 8-byte words or floats
 # (80 MB at the bound), and each worker of the replicate engine holds one.
 MAX_ROW_DRAWS = 10**7
+
+
+def check_replicates(n_reps: int, sizes: tuple[int, ...] = (), least: int = 1,
+                     words: tuple[int, str] | None = None) -> None:
+    """Refuse ``n_reps`` replicates below ``least`` or past the bounds above,
+    run once per sample size in ``sizes``, whose rows a study holds.  Each
+    replicate draws ``sum(sizes)`` words unless ``words`` gives that count and
+    the text naming the fields that set it."""
+    if len(set(sizes)) < len(sizes):
+        raise ValueError(f"sample_sizes must be distinct, got {sizes}")
+    if not least <= n_reps <= MAX_REPS:
+        raise ValueError(f"n_reps must lie in [{least}, {MAX_REPS}], got {n_reps}")
+    if n_reps * len(sizes) > MAX_REPLICATE_SIZES:
+        raise ValueError(f"n_reps times the number of sample_sizes = {len(sizes)} "
+                         f"must be at most {MAX_REPLICATE_SIZES}, got {n_reps}")
+    width, fields = words or (sum(sizes), f"the sum of sample_sizes = {sizes}")
+    if n_reps * width > MAX_RUN_WORDS:
+        raise ValueError(f"n_reps times {fields} must be at most "
+                         f"{MAX_RUN_WORDS} words, got {n_reps}")
+
 
 # The most words one block of a batched task may hold (a 128 KiB uint64
 # block), so memory stays bounded.

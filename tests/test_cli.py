@@ -15,7 +15,8 @@ from statlab.gof import GofPlan
 from statlab.mh import MAX_CHAIN_STEPS, MAX_PROPOSAL_SD, MhConfig
 from statlab.pooling import PoolingPlan
 from statlab.report import RunConfig, run_and_report
-from statlab.simkit import MAX_REPLICATE_SIZES, MAX_REPS, MAX_ROW_DRAWS
+from statlab.simkit import (MAX_REPLICATE_SIZES, MAX_REPS, MAX_ROW_DRAWS,
+                            MAX_RUN_WORDS)
 
 # A valid value of every option: its flag text (None for a switch) and the
 # same value as a config file holds it.
@@ -288,6 +289,12 @@ class TestParseConfig:
          "--bins"),
         (["estimator", "--sizes", ",".join(map(str, range(4, 24))),
           "--reps", str(MAX_REPLICATE_SIZES // 20)], "--sizes"),
+        (["gof", "--sizes", str(MAX_ROW_DRAWS),
+          "--reps", str(MAX_RUN_WORDS // MAX_ROW_DRAWS)], "--reps"),
+        # each of the five divisors of N in the default k-range 2:10 draws N
+        # words per replicate
+        (["pooling", "--N", str(MAX_ROW_DRAWS),
+          "--reps", str(MAX_RUN_WORDS // (5 * MAX_ROW_DRAWS))], "--reps"),
     ])
     def test_run_size_bound_admits_the_bound_only(self, argv, flag, capsys):
         # builds plans only: nothing of this size is run
@@ -311,6 +318,26 @@ class TestParseConfig:
         assert excinfo.value.code == 2
         message = capsys.readouterr().err.splitlines()[-1]
         assert "--reps" in message and "--sizes" in message
+
+    @pytest.mark.parametrize("argv, flags", [
+        # 63 divisors of 10**7 in the k-range at 10**6 replicates: 6.3e14
+        # words, about 44 days of draws
+        (["pooling", "--N", str(MAX_ROW_DRAWS), "--k-range",
+          f"2:{MAX_ROW_DRAWS}", "--reps", str(MAX_REPS)],
+         ("--reps", "--N", "--k-range")),
+        (["gof", "--sizes", f"{MAX_ROW_DRAWS},{MAX_ROW_DRAWS // 2}"],
+         ("--reps", "--sizes")),
+        (["estimator", "--sizes", str(MAX_ROW_DRAWS), "--reps", str(MAX_REPS)],
+         ("--reps", "--sizes")),
+    ])
+    def test_run_words_are_bounded(self, argv, flags, capsys):
+        # builds plans only: nothing of this size is run
+        with pytest.raises(SystemExit) as excinfo:
+            parse_config(argv)
+        assert excinfo.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert f"must be at most {MAX_RUN_WORDS} words" in message
+        assert all(flag in message for flag in flags)
 
     def test_config_file_bool_and_path_keys(self, tmp_path):
         cfg = tmp_path / "conf.json"

@@ -171,16 +171,26 @@ class TestStudy:
                 assert res[("s", n)][i] == sigma_hat_s(draws)
 
     def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            EstimatorStudyPlan(sample_sizes=(2,))
-        with pytest.raises(ValueError):
-            EstimatorStudyPlan(true_sd=0.0)
-        with pytest.raises(ValueError):
-            EstimatorStudyPlan(n_reps=1)
-        with pytest.raises(ValueError):
-            EstimatorStudyPlan(true_sd=1.01 * MAX_TRUE_SD)
-        with pytest.raises(ValueError, match="^true_sd "):
-            EstimatorStudyPlan(true_sd=math.nextafter(MIN_TRUE_SD, 0))
+        # each refusal starts with the field it rejects, which the cli maps
+        # to its flag
+        for kwargs, field in [
+            ({"sample_sizes": (2,)}, "sample_sizes"),
+            ({"sample_sizes": (3, 100)}, "sample_sizes"),
+            ({"sample_sizes": (100, 400, 100)}, "sample_sizes"),
+            ({"true_sd": 0.0}, "true_sd"),
+            ({"true_sd": 1.01 * MAX_TRUE_SD}, "true_sd"),
+            ({"true_sd": math.nextafter(MIN_TRUE_SD, 0)}, "true_sd"),
+            ({"n_reps": 0}, "n_reps"),
+            ({"n_reps": 1}, "n_reps"),
+            ({"n_reps": simkit.MAX_REPS + 1}, "n_reps"),
+            ({"sample_sizes": tuple(range(4, 15)),
+              "n_reps": simkit.MAX_REPS}, "n_reps"),  # rows held
+            ({"sample_sizes": (simkit.MAX_ROW_DRAWS,), "n_reps": 10_001},
+             "n_reps"),  # words drawn
+        ]:
+            with pytest.raises(ValueError) as excinfo:
+                EstimatorStudyPlan(**kwargs)
+            assert str(excinfo.value).split()[0] == field, kwargs
 
     def test_sample_size_bound(self):
         # a sample is one replicate row; the bound itself is taken

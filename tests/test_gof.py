@@ -136,12 +136,23 @@ class TestSimulate:
             assert np.array_equal(blocked[n], definition)
 
     def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            GofPlan(bins=1)
-        with pytest.raises(ValueError):
-            GofPlan(sample_sizes=(10,))  # not a multiple of 8
-        with pytest.raises(ValueError):
-            GofPlan(n_reps=0)
+        # each refusal starts with the field it rejects, which the cli maps
+        # to its flag
+        for kwargs, field in [
+            ({"bins": 1}, "bins"),
+            ({"sample_sizes": (10,)}, "sample_sizes"),  # not a multiple of 8
+            ({"sample_sizes": (4,)}, "sample_sizes"),  # fewer than 8
+            ({"sample_sizes": (16, 64, 16)}, "sample_sizes"),
+            ({"n_reps": 0}, "n_reps"),
+            ({"n_reps": simkit.MAX_REPS + 1}, "n_reps"),
+            ({"sample_sizes": tuple(range(8, 96, 8)),
+              "n_reps": simkit.MAX_REPS}, "n_reps"),  # rows held
+            ({"sample_sizes": (simkit.MAX_ROW_DRAWS,), "n_reps": 10_001},
+             "n_reps"),  # words drawn
+        ]:
+            with pytest.raises(ValueError) as excinfo:
+                GofPlan(**kwargs)
+            assert str(excinfo.value).split()[0] == field, kwargs
 
     def test_row_width_bound(self):
         # sample sizes and the bin count are at most one replicate row wide

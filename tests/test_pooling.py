@@ -326,6 +326,8 @@ class TestPoolingPlan:
         ({"p": MIN_P / 2}, "p"),
         ({"N": simkit.MAX_ROW_DRAWS + 1}, "N"),
         ({"N": 10**400}, "N"),
+        ({"n_reps": simkit.MAX_REPS + 1}, "n_reps"),
+        ({"N": simkit.MAX_ROW_DRAWS, "n_reps": 2001}, "n_reps"),  # words drawn
     ])
     def test_invalid_plan_message_starts_with_its_field(self, kwargs, field):
         with pytest.raises(ValueError) as excinfo:
