@@ -1,5 +1,5 @@
 """Command-line front end: statlab <subcommand> [--config FILE] plus the flags
-``OPTIONS`` declares for it.  A flag beats the config file, which beats the
+``option_keys`` gives it.  A flag beats the config file, which beats the
 study plan's default; STATLAB_OUT sets the default output directory.
 Exit status: 0 success, 2 usage error, 1 runtime error."""
 
@@ -29,7 +29,6 @@ def _parse_ints(sep: str) -> Callable[[str], tuple[int, ...]]:
 
 
 class Option(NamedTuple):
-    subcommands: tuple[str, ...]
     json_type: type  # float also takes integers; list is a list of integers
     parse: Callable[[str], object] | None  # the flag's value; None for a switch
     help: str
@@ -44,29 +43,26 @@ _STUDIES = {
                   "IQR-based vs usual scale estimator efficiency"),
     "gof": (gof.GofPlan, "chi-square statistic null-distribution study"),
 }
-_ANY = (*_STUDIES, "all")
 
 # Every option, by config-file key; its flag is "--" + key with "_" as "-".
-# The keys that `all` takes are run settings, the rest study options.
+# `option_keys` says which subcommands take each.
 OPTIONS = {
-    "seed": Option(_ANY, int, int, f"root RNG seed (default {DEFAULT_SEED})"),
-    "reps": Option(("pooling", "estimator", "gof", "all"), int, int,
-                   "override the number of simulation replicates"),
-    "out": Option(_ANY, str, str, "output directory (default statlab_out)"),
-    "figures": Option(_ANY, bool, None, "also emit SVG figures"),
-    "workers": Option(_ANY, int, int, "at least 1, and ignored: no output depends on it"),
-    "p": Option(("pooling",), float, float, "prevalence"),
-    "N": Option(("pooling",), int, int, "population size"),
-    "k_range": Option(("pooling",), list, _parse_ints(":"),
-                      "pool-size range LO:HI, e.g. 2:10"),
-    "burn_in": Option(("mh",), int, int, "chain steps discarded first"),
-    "samples": Option(("mh",), int, int, "chain states kept"),
-    "proposal_sd": Option(("mh",), float, float, "random-walk step sd"),
-    "sizes": Option(("estimator", "gof"), list, _parse_ints(","),
-                    "sample sizes N1,N2,..., e.g. 100,400"),
-    "sigma": Option(("estimator",), float, float, "true sigma"),
-    "bins": Option(("gof",), int, int, "number of equiprobable cells"),
+    "seed": Option(int, int, f"root RNG seed (default {DEFAULT_SEED})"),
+    "reps": Option(int, int, "override the number of simulation replicates"),
+    "out": Option(str, str, "output directory (default statlab_out)"),
+    "figures": Option(bool, None, "also emit SVG figures"),
+    "workers": Option(int, int, "at least 1, and ignored: no output depends on it"),
+    "p": Option(float, float, "prevalence"),
+    "N": Option(int, int, "population size"),
+    "k_range": Option(list, _parse_ints(":"), "pool-size range LO:HI, e.g. 2:10"),
+    "burn_in": Option(int, int, "chain steps discarded first"),
+    "samples": Option(int, int, "chain states kept"),
+    "proposal_sd": Option(float, float, "random-walk step sd"),
+    "sizes": Option(list, _parse_ints(","), "sample sizes N1,N2,..., e.g. 100,400"),
+    "sigma": Option(float, float, "true sigma"),
+    "bins": Option(int, int, "number of equiprobable cells"),
 }
+_RUN_SETTINGS = ("seed", "out", "figures", "workers")  # taken by every subcommand
 _JSON_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
                     str: "a string", list: "a list of integers"}
 # Option keys that name their plan's field differently.
@@ -82,16 +78,23 @@ def _flag(key: str) -> str:
 _FIELD_FLAGS = {PLAN_FIELDS.get(key, key): _flag(key) for key in OPTIONS}
 
 
+def option_keys(name: str) -> list[str]:
+    """The keys of the options subcommand ``name`` takes, in OPTIONS order:
+    the run settings, and ``reps`` under ``all`` or, under a study, each key
+    that names a field of its plan through PLAN_FIELDS."""
+    fields = ({"n_reps"} if name == "all"
+              else {f.name for f in dataclasses.fields(_STUDIES[name][0])})
+    return [key for key in OPTIONS
+            if key in _RUN_SETTINGS or PLAN_FIELDS.get(key, key) in fields]
+
+
 def make_plan(name: str, values: dict):
-    """The plan of study ``name`` from the values whose key, renamed through
-    ``PLAN_FIELDS``, names one of its fields; what is not given takes the
-    plan's default.  The plan checks every value and raises ValueError naming
-    the field it rejects.
-    """
-    plan = _STUDIES[name][0]
-    fields = {f.name for f in dataclasses.fields(plan)}
-    renamed = {PLAN_FIELDS.get(key, key): value for key, value in values.items()}
-    return plan(**{f: v for f, v in renamed.items() if f in fields})
+    """The plan of study ``name`` from the values of its options beside the
+    run settings, renamed through ``PLAN_FIELDS``; the plan defaults the rest,
+    checks every value and raises ValueError naming the field it rejects."""
+    return _STUDIES[name][0](**{
+        PLAN_FIELDS.get(key, key): values[key] for key in option_keys(name)
+        if key in values and key not in _RUN_SETTINGS})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,16 +106,16 @@ def build_parser() -> argparse.ArgumentParser:
         "environment variable; an explicit --out always wins.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _ANY:
+    for name in (*_STUDIES, "all"):
         p = sub.add_parser(name, help=_STUDIES.get(
             name, (None, "run every subcommand"))[1])
         p.add_argument("--config", type=Path,
                        help="JSON config file with defaults for any flag")
-        for key, option in OPTIONS.items():
-            if name in option.subcommands:
-                how = ({"type": option.parse} if option.parse
-                       else {"action": "store_true", "default": None})
-                p.add_argument(_flag(key), help=option.help, **how)
+        for key in option_keys(name):
+            option = OPTIONS[key]
+            how = ({"type": option.parse} if option.parse
+                   else {"action": "store_true", "default": None})
+            p.add_argument(_flag(key), help=option.help, **how)
         # a value the parser accepts but a plan or config file rejects is
         # still this subcommand's usage error
         p.set_defaults(usage_error=p.error)
@@ -157,7 +160,7 @@ def parse_config(argv: list[str] | None) -> RunConfig:
     file_values = ({} if args.config is None
                    else _read_config(args.usage_error, args.config))
     values = {key: value for key, value in file_values.items()
-              if args.subcommand in OPTIONS[key].subcommands}
+              if key in option_keys(args.subcommand)}
     values.update((key, value) for key, value in vars(args).items()
                   if key in OPTIONS and value is not None)
     if values.get("workers", 1) < 1:
@@ -189,9 +192,6 @@ def main(argv: list[str] | None = None) -> int:
         config = parse_config(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, TypeError, OSError) as exc:
-        print(f"statlab: {exc}", file=sys.stderr)
-        return 2
     try:
         docs = run_and_report(config)
     except Exception as exc:

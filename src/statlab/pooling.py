@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -49,9 +49,9 @@ class PoolingPlan:
             self.N * len(candidates), f"N = {self.N} for each of the "
             f"{len(candidates)} divisors of N in k_range = {self.k_range}"))
 
-    @property
+    @cached_property
     def candidates(self) -> list[int]:
-        """The pool sizes in the k-range that divide N."""
+        """The pool sizes in the k-range that divide N, found once."""
         lo, hi = self.k_range
         return [k for k in range(lo, hi + 1) if self.N % k == 0]
 

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -27,6 +28,9 @@ OPTION_VALUES = {
     "samples": ("700", 700), "proposal_sd": ("0.5", 0.5),
     "sizes": ("32,48", [32, 48]), "sigma": ("2.5", 2.5), "bins": ("4", 4),
 }
+# Every (key, subcommand) pair the parser offers, in OPTIONS order.
+OPTION_PAIRS = [(key, sub) for key in OPTIONS for sub in (*cli._STUDIES, "all")
+                if key in cli.option_keys(sub)]
 
 
 class TestParseConfig:
@@ -361,8 +365,7 @@ class TestParseConfig:
         config = parse_config(["mh", "--config", str(cfg)])
         assert config.plans == {"mh": MhConfig(n_samples=10)}
 
-    @pytest.mark.parametrize("key, subcommand", [
-        (key, sub) for key, option in OPTIONS.items() for sub in option.subcommands])
+    @pytest.mark.parametrize("key, subcommand", OPTION_PAIRS)
     def test_flag_and_config_file_agree(self, key, subcommand, tmp_path,
                                         monkeypatch):
         monkeypatch.delenv("STATLAB_OUT", raising=False)
@@ -432,15 +435,47 @@ def test_make_plan_renames_keys_and_keeps_plan_defaults():
         MhConfig(n_samples=5, burn_in=1))
 
 
+# Each subcommand's options, in the order its parser lists their flags.
+SURFACE = {
+    "pooling": ["seed", "reps", "out", "figures", "workers", "p", "N", "k_range"],
+    "mh": ["seed", "out", "figures", "workers", "burn_in", "samples",
+           "proposal_sd"],
+    "estimator": ["seed", "reps", "out", "figures", "workers", "sizes", "sigma"],
+    "gof": ["seed", "reps", "out", "figures", "workers", "sizes", "bins"],
+    "all": ["seed", "reps", "out", "figures", "workers"],
+}
+
+
+def _subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
+    return next(action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
 @pytest.mark.parametrize("name", cli._STUDIES)
 def test_options_and_plan_fields_name_the_same_studies(name):
-    # parse_config keeps a config file's values by OPTIONS[key].subcommands,
-    # make_plan by the plan's fields: the two must agree on every study option
+    # a study's parser offers a study option's flag exactly when make_plan
+    # finds the option's field, renamed through PLAN_FIELDS, on its plan
     fields = {f.name for f in dataclasses.fields(cli._STUDIES[name][0])}
-    for key, option in OPTIONS.items():
+    flags = {flag for action in _subcommand_parsers()[name]._actions
+             for flag in action.option_strings}
+    for key in OPTIONS:
         if key not in ("seed", "out", "figures", "workers"):
-            assert (name in option.subcommands) == (
+            assert (cli._flag(key) in flags) == (
                 cli.PLAN_FIELDS.get(key, key) in fields), key
+
+
+def test_each_subcommand_takes_the_options_listed_here():
+    # the plans' fields decide which options a study takes, so a field added
+    # to a plan must be added here too before it can widen a subcommand
+    subparsers = _subcommand_parsers()
+    assert list(subparsers) == list(SURFACE)
+    for name, keys in SURFACE.items():
+        flags = [flag for action in subparsers[name]._actions
+                 for flag in action.option_strings]
+        assert flags == ["-h", "--help", "--config",
+                         *("--" + key.replace("_", "-") for key in keys)], name
+        assert cli.option_keys(name) == keys
+    assert len(OPTION_PAIRS) == sum(map(len, SURFACE.values())) == 34
 
 
 # Each option's upper bound, where it has one; a float bound's "bound + 1"
@@ -463,9 +498,7 @@ def _edge_values(key: str) -> list:
     return values
 
 
-@pytest.mark.parametrize("key, subcommand", [
-    (key, sub) for key, option in OPTIONS.items() for sub in option.subcommands
-])
+@pytest.mark.parametrize("key, subcommand", OPTION_PAIRS)
 def test_option_space_is_parsed_or_a_usage_error(key, subcommand, tmp_path,
                                                  capsys):
     # every edge value of every option, by flag and by config file: either
@@ -493,9 +526,7 @@ def test_option_space_is_parsed_or_a_usage_error(key, subcommand, tmp_path,
 
 
 @pytest.mark.parametrize("key, subcommand", [
-    (key, sub) for key, option in OPTIONS.items() if "all" not in option.subcommands
-    for sub in option.subcommands
-])
+    (key, sub) for key, sub in OPTION_PAIRS if key not in cli.option_keys("all")])
 def test_small_study_values_run_or_are_a_usage_error(key, subcommand, tmp_path,
                                                      capsys):
     # every study option at 0, 1, -1, 2 and 3 runs through main, figures

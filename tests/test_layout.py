@@ -14,10 +14,13 @@ so ``mh._CHUNK_STEPS`` moves their last bits (by an ulp or two); they are
 compared to a relative 1e-14, everything else byte for byte.
 """
 
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import statlab
 from statlab import mh, numerics, report, simkit
 from statlab.cli import main
 
@@ -81,3 +84,16 @@ def test_layout_constants_change_no_output(layout, shipped, tmp_path,
         assert now[key] == pytest.approx(then[key], rel=1e-14, abs=0)
         now[key] = then[key]
     assert outputs == shipped
+
+
+def test_every_private_int_constant_is_varied_here():
+    # a layout constant added to src/ is covered only once it joins CONSTANTS;
+    # simkit._LOW is the Philox word mask, which lays out no work
+    found = {(module.__name__, name)
+             for info in pkgutil.iter_modules(statlab.__path__)
+             for module in [importlib.import_module(f"statlab.{info.name}")]
+             for name, value in vars(module).items()
+             if name.startswith("_") and not name.startswith("__")
+             and type(value) is int}
+    assert found - {("statlab.simkit", "_LOW")} == {
+        (module.__name__, name) for module, name in CONSTANTS}

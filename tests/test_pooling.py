@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -312,6 +313,17 @@ class TestPoolingPlan:
     def test_candidates_are_the_divisors_in_range(self):
         assert PoolingPlan().candidates == [2, 4, 5, 8, 10]
         assert PoolingPlan(N=97 * 3, k_range=(2, 4)).candidates == [3]
+
+    def test_candidates_are_found_once(self):
+        plan = PoolingPlan()
+        assert plan.candidates is plan.candidates
+        # the cached list is no field: the summary echo, equality, hash and
+        # repr see the four fields alone
+        assert dataclasses.asdict(plan) == {
+            "p": 0.05, "N": 5000, "k_range": (2, 10), "n_reps": 1000}
+        assert plan == PoolingPlan() and hash(plan) == hash(PoolingPlan())
+        assert repr(plan) == (
+            "PoolingPlan(p=0.05, N=5000, k_range=(2, 10), n_reps=1000)")
 
     @pytest.mark.parametrize("kwargs, field", [
         ({"p": 0.0}, "p"),
